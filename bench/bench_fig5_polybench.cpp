@@ -2,9 +2,11 @@
 // world. Paper: Wasm ~1.34x native on average in BOTH worlds; the WAMR-vs-
 // WaTZ difference is <0.02% (TrustZone adds no computation penalty).
 //
-// Our AOT executor is a register-IR interpreter rather than native codegen,
-// so the absolute Wasm/native factor is larger (see EXPERIMENTS.md); the
-// invariant under test is WaTZ ~= WAMR and TEE-native ~= REE-native.
+// Both Wasm columns run the baseline x86-64 native tier, compiled while the
+// module loads as in WAMR's AOT mode (the AOT-stream interpreter where the
+// host cannot run it). The baseline codegen keeps locals in frame slots, so
+// the absolute Wasm/native factor is larger than the paper's; the invariant
+// under test is WaTZ ~= WAMR and TEE-native ~= REE-native.
 #include "bench/harness.hpp"
 #include "polybench/suite.hpp"
 #include "wcc/compiler.hpp"

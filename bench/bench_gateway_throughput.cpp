@@ -797,43 +797,47 @@ int main(int argc, char** argv) {
   report.metric("trace_spans_per_invoke", spans_per_invoke, "spans");
   report.metric("tracing_disabled_overhead_pct", disabled_overhead_pct, "%");
 
-  // ---- phase 8: native tier-up -------------------------------------------
+  // ---- phase 8: native tier ---------------------------------------------
   // Pairs of single-board gateways with latency charging off (the phase
   // isolates guest compute, not world-switch accounting), each pair running
   // one PolyBench kernel: gem — the fig5 double-precision mul-add triple
   // loop, the phase-2 float surface — and flo — the integer floyd-warshall
   // core the phase-1 JIT already lowered. Per pair the BASELINE gateway pins
   // jit_tiering off, so every invoke rides the AOT stream; the TIERED one
-  // marks the function hot on first touch, lets the control-plane sweep
-  // compile it (the background sweeper may already have — the explicit call
-  // just bounds the race), and times the same invoke on the native entry.
-  // The ratios are CI gates: the double kernel must buy >= 4x (floats lower
-  // inline now, not through thunks) with ZERO jit_fallback_float traffic in
-  // steady state, the int kernel >= 2x, and the tiered gateway's
-  // tier_up_compiles counter must be > 0 for the ratios to mean anything.
-  // On hosts where the JIT cannot run (non-x86-64 or WATZ_DISABLE_JIT) the
-  // phase still executes — wholesale AOT fallback — and reports speedup ~1 /
-  // compiles 0; the gating leg of CI never sees that because it pins the
-  // JIT on.
+  // compiles every function while the first invoke loads the module, and
+  // times the same invoke on the native entry. The ratios are CI gates: the
+  // double kernel must buy >= 4x (floats lower inline now, not through
+  // thunks) with ZERO jit_fallback_float traffic in steady state, the int
+  // kernel >= 2x. For the ratios to mean anything, every function of gem
+  // must be native after LOAD plus the first INVOKE, and the measured reps
+  // must enter native code. On hosts where the JIT cannot run (non-x86-64
+  // or WATZ_DISABLE_JIT) the phase still executes — wholesale AOT fallback
+  // — and reports speedup ~1 / native share 0; the gating leg of CI never
+  // sees that because it pins the JIT on.
   if (tables)
-    std::printf("\n=== Gateway: native tier-up (PolyBench gem + flo) ===\n");
+    std::printf("\n=== Gateway: native tier (PolyBench gem + flo) ===\n");
   double native_speedup = 1.0;   // gem, the double-precision headline gate
   double int_speedup = 1.0;      // flo, the phase-1 integer floor
   double tier_compiles = 0.0;
+  double native_share = 0.0;     // gem: native / all functions after 1st invoke
+  double native_entries = 0.0;   // gem: native entries over the measured reps
   double float_fallbacks = 0.0;  // steady-state jit_fallback_float on gem
   {
     const int reps = 3;
     std::uint8_t tier_otpmk = 0xF8;
     int tier_port = 7420;
 
-    // Boots a gateway + board pair, loads `binary`, and returns the median
-    // gateway-invoke latency after `pre_measure` ran once. The fallback
-    // delta is taken across the measured reps only: the warm-up invoke may
-    // legally ride the AOT stream, steady state must not thunk.
+    // What the tiered gem gateway reports besides its latency.
+    struct TierProbe {
+      double compiles = 0, native_share = 0, native_entries = 0,
+             float_fallbacks = 0;
+    };
+
+    // Boots a gateway + board pair, loads `binary`, runs one warm-up
+    // invoke and returns the median gateway-invoke latency of the measured
+    // reps. Counter deltas are taken across the measured reps only.
     auto measure = [&](gateway::GatewayConfig config, const Bytes& binary,
-                       int kernel_n,
-                       const std::function<void(gateway::Gateway&)>& pre,
-                       double* compiles_out, double* float_fallback_out) {
+                       int kernel_n, TierProbe* probe) {
       gateway::Gateway gw(fabric, config, to_bytes("gw-bench-" + config.hostname));
       gw.start().check();
       auto board = bench::boot_device(fabric, vendor, config.hostname + "-node",
@@ -855,20 +859,30 @@ int main(int argc, char** argv) {
         auto r = admin.invoke(req);
         r.ok() ? void() : throw Error("bench: " + r.error());
       };
-      run_once();  // warms the pool slot (and, tiered, trips the heat counter)
-      pre(gw);
-      const std::uint64_t float_before = gw.stats().jit_fallback_float;
+      run_once();  // loads the module (compiling it) and warms the pool slot
+      const gateway::GatewayStats before = gw.stats(/*detail=*/true);
       const std::uint64_t ns = bench::median_ns(reps, run_once);
-      if (compiles_out != nullptr)
-        *compiles_out = static_cast<double>(gw.stats().tier_up_compiles);
-      if (float_fallback_out != nullptr)
-        *float_fallback_out =
-            static_cast<double>(gw.stats().jit_fallback_float - float_before);
+      if (probe != nullptr) {
+        const gateway::GatewayStats after = gw.stats();
+        std::uint64_t functions = 0, native = 0;
+        for (const auto& device : before.devices)
+          for (const auto& m : device.modules) {
+            functions += m.functions;
+            native += m.native_functions;
+          }
+        probe->compiles = static_cast<double>(after.tier_up_compiles);
+        probe->native_share =
+            functions ? static_cast<double>(native) / functions : 0.0;
+        probe->native_entries =
+            static_cast<double>(after.native_entries - before.native_entries);
+        probe->float_fallbacks = static_cast<double>(
+            after.jit_fallback_float - before.jit_fallback_float);
+      }
       return ns;
     };
 
     auto kernel_pair = [&](const char* name, double* speedup_out,
-                           double* compiles_out, double* float_fallback_out) {
+                           TierProbe* probe) {
       const polybench::KernelDef* kernel = polybench::find_kernel(name);
       if (kernel == nullptr)
         throw Error("bench: kernel missing: " + std::string(name));
@@ -885,18 +899,14 @@ int main(int argc, char** argv) {
       baseline.ra_port = tier_port++;
       baseline.jit_tiering = false;  // the pure AOT-stream yardstick
       const std::uint64_t aot_ns =
-          measure(baseline, *binary, kernel->n, [](gateway::Gateway&) {},
-                  nullptr, nullptr);
+          measure(baseline, *binary, kernel->n, nullptr);
 
       gateway::GatewayConfig tiered;
       tiered.hostname = std::string("gw-tier-") + name;
       tiered.port = tier_port++;
       tiered.ra_port = tier_port++;
-      tiered.jit_hot_calls = 1;  // first touch marks the function hot
-      const std::uint64_t native_ns = measure(
-          tiered, *binary, kernel->n,
-          [](gateway::Gateway& gw) { gw.sweep_tier_compiles(); }, compiles_out,
-          float_fallback_out);
+      const std::uint64_t native_ns =
+          measure(tiered, *binary, kernel->n, probe);
 
       if (native_ns > 0)
         *speedup_out =
@@ -909,26 +919,35 @@ int main(int argc, char** argv) {
                     wasm::jit::jit_available() ? "" : " (JIT unavailable)");
     };
 
-    kernel_pair("gem", &native_speedup, &tier_compiles, &float_fallbacks);
-    kernel_pair("flo", &int_speedup, nullptr, nullptr);
+    TierProbe gem;
+    kernel_pair("gem", &native_speedup, &gem);
+    kernel_pair("flo", &int_speedup, nullptr);
+    tier_compiles = gem.compiles;
+    native_share = gem.native_share;
+    native_entries = gem.native_entries;
+    float_fallbacks = gem.float_fallbacks;
     if (tables)
-      std::printf("  gem steady state: %.0f float-thunk op(s), %.0f "
-                  "function(s) compiled\n",
-                  float_fallbacks, tier_compiles);
+      std::printf("  gem: %.0f function(s) compiled at load, %.0f%% native "
+                  "after the first invoke, %.0f native entries and %.0f "
+                  "float-thunk op(s) over the measured reps\n",
+                  tier_compiles, native_share * 100, native_entries,
+                  float_fallbacks);
   }
   report.metric("native_speedup_over_aot_stream", native_speedup, "x");
   report.metric("native_speedup_int_kernel", int_speedup, "x");
   report.metric("tier_up_compiles", tier_compiles, "functions");
+  report.metric("native_function_share", native_share, "ratio");
+  report.metric("native_entries_measured", native_entries, "entries");
   report.metric("jit_fallback_float", float_fallbacks, "ops");
 
   // ---- phase 8b: fig8 genann training step, AOT-pinned vs tiered ---------
   // The paper's genann workload is double-heavy guest compute (sigmoid
   // forward passes and backprop deltas, plus (int)<->(double) conversions in
   // the dataset walk) — exactly the phase-2 surface. Run one training step
-  // on a REE instance pinned to the AOT stream and one with a
-  // force-compiled tier, and gate the ratio: if float lowering regresses,
-  // this collapses toward 1 long before the differential suite notices
-  // anything functionally wrong.
+  // on a REE instance pinned to the AOT stream and one with a tier
+  // compiled up front (as WatzRuntime::prepare does at load), and gate the
+  // ratio: if float lowering regresses, this collapses toward 1 long before
+  // the differential suite notices anything functionally wrong.
   if (tables)
     std::printf("\n=== Gateway: genann training step, AOT vs tiered ===\n");
   double genann_speedup = 1.0;
@@ -939,16 +958,9 @@ int main(int argc, char** argv) {
     const int kIters = 3;
 
     auto train_median_ns = [&](bool tiered) {
-      auto inst = bench::instantiate_ree(module, kNoImports);
+      auto inst = bench::instantiate_ree(module, kNoImports,
+                                         wasm::ExecMode::Aot, tiered);
       inst->memory()->copy_in(ann::GuestLayout::kDatasetPtr, wire).check();
-      if (tiered && wasm::jit::jit_available()) {
-        wasm::jit::TierConfig config;
-        config.hot_threshold = 1;
-        auto tier = std::make_shared<wasm::jit::TierSet>(
-            &inst->module(), inst->compiled, std::move(config));
-        tier->compile_all();
-        inst->tier = tier;
-      }
       auto run_once = [&] {
         const int correct = bench::invoke_i32(
             *inst, "train_at",

@@ -94,7 +94,7 @@ int main() {
     // AES-GCM, so the handshake wins; our scalar AES-GCM is the slower
     // primitive, so the blob-size-dependent phases win at 1 MB. The
     // structural claim that survives: fixed-size phases are constant,
-    // receive_data grows linearly with the blob (see EXPERIMENTS.md).
+    // receive_data grows linearly with the blob.
     const char* dominant = "handshake";
     std::uint64_t max_ns = handshake_ns;
     if (send_ns > max_ns) { dominant = "send_quote(+appraisal)"; max_ns = send_ns; }

@@ -12,6 +12,7 @@
 #include "hw/clock.hpp"
 #include "wasm/decoder.hpp"
 #include "wasm/instance.hpp"
+#include "wasm/jit/tier.hpp"
 
 namespace watz::bench {
 
@@ -103,13 +104,23 @@ inline std::unique_ptr<core::Device> boot_device(net::Fabric& fabric,
 }
 
 /// Instantiates a Wasm module outside any TEE (the "WAMR in REE" setting).
+/// Like core::WatzRuntime::prepare — and WAMR's AOT mode — an Aot instance
+/// gets every function compiled to native code up front where the host can
+/// run it, so the REE and TEE columns run on the same tier. `native =
+/// false` pins the AOT stream (the yardstick of the native-speedup gates).
 inline std::unique_ptr<wasm::Instance> instantiate_ree(
     ByteView binary, const wasm::ImportResolver& imports,
-    wasm::ExecMode mode = wasm::ExecMode::Aot) {
+    wasm::ExecMode mode = wasm::ExecMode::Aot, bool native = true) {
   auto module = wasm::decode_module(binary);
   module.ok() ? void() : throw Error("bench: " + module.error());
   auto inst = wasm::Instance::instantiate(std::move(*module), imports, mode);
   inst.ok() ? void() : throw Error("bench: " + inst.error());
+  if (native && mode == wasm::ExecMode::Aot && wasm::jit::jit_available()) {
+    auto tier = std::make_shared<wasm::jit::TierSet>(
+        &(*inst)->module(), (*inst)->compiled, wasm::jit::TierConfig{});
+    tier->compile_all();
+    (*inst)->tier = std::move(tier);
+  }
   return std::move(*inst);
 }
 

@@ -17,6 +17,10 @@ WatzRuntime::WatzRuntime(optee::TrustedOs& os, tz::SecureMonitor& monitor,
   app_rng_.reseed(os.huk_subkey_derive("watz-runtime-rng-v1"));
 }
 
+std::size_t PreparedModule::code_bytes() const noexcept {
+  return code_memory_.size() + (tier_ ? tier_->native_code_bytes() : 0);
+}
+
 Result<std::vector<wasm::Value>> LoadedApp::invoke(const std::string& entry,
                                                    std::span<const wasm::Value> args) {
   return monitor_->smc_call([&] { return instance_->invoke(entry, args); });
@@ -69,9 +73,9 @@ Result<std::shared_ptr<const PreparedModule>> WatzRuntime::prepare(
     prepared->measurement_ = crypto::sha256(prepared->code_memory_.view());
     prepared->load_cost_.hashing_ns = now() - t0;
 
-    // Phase: loading. Decode + validate + AOT-translate (the dominant cost
-    // in Fig 4, ~73%). This is exactly what caching a PreparedModule
-    // amortises away.
+    // Phase: loading. Decode + validate + AOT-translate + native codegen
+    // (the dominant cost in Fig 4, ~73%). This is exactly what caching a
+    // PreparedModule amortises away.
     t0 = now();
     auto module = wasm::decode_module(prepared->code_memory_.view());
     if (!module.ok()) return Result<Status>::err("watz: " + module.error());
@@ -82,14 +86,13 @@ Result<std::shared_ptr<const PreparedModule>> WatzRuntime::prepare(
       auto pc = wasm::precompile_module(prepared->module_);
       if (!pc.ok()) return Result<Status>::err("watz: " + pc.error());
       prepared->compiled_ = std::move(*pc);
-      // Native-codegen tier: one TierSet per prepared module, so heat and
-      // compiled images are shared by every instance of this measurement
-      // (codegen paid once fleet-wide). Non-x86-64 hosts or an explicit
-      // WATZ_DISABLE_JIT fall back to the AOT stream wholesale.
-      if (jit_options_.enabled && wasm::jit::jit_available() &&
+      // Native tier: every function compiled into one image now, before
+      // the module is published, so every instance of this measurement
+      // runs native code from its first call. Non-x86-64 hosts or an
+      // explicit WATZ_DISABLE_JIT fall back to the AOT stream wholesale.
+      if (jit_enabled_ && wasm::jit::jit_available() &&
           !prepared->compiled_.empty()) {
         wasm::jit::TierConfig tier_config;
-        tier_config.hot_threshold = jit_options_.hot_threshold;
         tier_config.charge_code = [os = &os_](std::size_t n) {
           return os->try_charge_code(n);
         };
@@ -100,6 +103,7 @@ Result<std::shared_ptr<const PreparedModule>> WatzRuntime::prepare(
             &prepared->module_,
             std::span<const wasm::CompiledFunc>(prepared->compiled_),
             std::move(tier_config));
+        prepared->tier_->compile_all();
       }
     }
     prepared->load_cost_.loading_ns = now() - t0;
@@ -168,8 +172,7 @@ Result<std::unique_ptr<LoadedApp>> WatzRuntime::instantiate(
         std::move(compiled_ptr), /*already_validated=*/true);
     if (!instance.ok()) return Result<Status>::err("watz: " + instance.error());
     app->instance_ = std::move(*instance);
-    // Warm checkouts inherit any native entries already installed for this
-    // measurement: the tier travels with the prepared module, not the app.
+    // The native tier travels with the prepared module, not the app.
     app->instance_->tier = app->prepared_->tier_;
     app->startup_.instantiate_ns = now() - t0;
     return Status{};

@@ -59,15 +59,6 @@ struct AppConfig {
   wasm::ExecMode mode = wasm::ExecMode::Aot;
 };
 
-/// Native-codegen tiering knobs (effective only where jit::jit_available():
-/// x86-64 hosts with WATZ_DISABLE_JIT unset; everywhere else execution
-/// falls back to the AOT stream wholesale).
-struct JitTierOptions {
-  bool enabled = true;
-  /// Per-function call count before background compilation is queued.
-  std::uint32_t hot_threshold = 64;
-};
-
 /// The cacheable product of the expensive launch phases: measured bytecode
 /// in executable secure pages plus its decoded + validated + AOT-translated
 /// form. Immutable once built; instantiation copies out of it, so one
@@ -78,18 +69,17 @@ class PreparedModule {
   const wasm::Module& module() const noexcept { return module_; }
   const std::vector<wasm::CompiledFunc>& compiled() const noexcept { return compiled_; }
   wasm::ExecMode mode() const noexcept { return mode_; }
-  /// Secure-heap footprint of the retained executable pages (what a module
-  /// cache charges against its budget).
-  std::size_t code_bytes() const noexcept { return code_memory_.size(); }
+  /// Secure-heap footprint of the retained executable pages — the
+  /// bytecode plus the native image (what a module cache charges against
+  /// its budget).
+  std::size_t code_bytes() const noexcept;
   /// Cost of the cold phases (Transition + Memory allocation + Hashing +
   /// Loading) paid when this module was prepared.
   const StartupBreakdown& load_cost() const noexcept { return load_cost_; }
-  /// Native-codegen tiering state shared by every instance of this module
-  /// (heat counters, compile queue, installed entries). Null when tiering
-  /// is off, the mode is not Aot, or the host cannot run the JIT. The
-  /// per-function entry installs are the only mutation; they are atomic
-  /// and publication-safe, so this does not break module immutability for
-  /// concurrent instances.
+  /// Native tier shared by every instance of this module: every function
+  /// compiled during Loading, before the module is published, so the
+  /// entry table is immutable. Null when tiering is off, the mode is not
+  /// Aot, or the host cannot run the JIT.
   const std::shared_ptr<wasm::jit::TierSet>& tier() const noexcept { return tier_; }
 
  private:
@@ -164,7 +154,8 @@ class WatzRuntime {
 
   /// Cold half of the pipeline: stages the binary through the shared
   /// buffer, copies it into executable secure pages, measures it and runs
-  /// decode + validate (+ AOT translation). The result is immutable and
+  /// decode + validate (+ AOT translation and, when the native tier is on,
+  /// compilation of every function). The result is immutable and
   /// shareable across launches. `monitor` is the secure-world entry point
   /// to charge (nullptr = the device's primary monitor).
   Result<std::shared_ptr<const PreparedModule>> prepare(
@@ -193,10 +184,11 @@ class WatzRuntime {
   /// when no slot monitor is passed (single-threaded / control-plane use).
   tz::SecureMonitor& primary_monitor() noexcept { return monitor_; }
 
-  /// Tiering knobs for modules prepared AFTER this call (a TierSet is
-  /// built per PreparedModule at prepare() time).
-  void set_jit_options(JitTierOptions options) noexcept { jit_options_ = options; }
-  const JitTierOptions& jit_options() const noexcept { return jit_options_; }
+  /// Native tier on/off for modules prepared AFTER this call. Effective
+  /// only where jit::jit_available() (x86-64 with WATZ_DISABLE_JIT unset);
+  /// everywhere else execution stays on the AOT stream wholesale.
+  void set_jit_enabled(bool enabled) noexcept { jit_enabled_ = enabled; }
+  bool jit_enabled() const noexcept { return jit_enabled_; }
 
   std::uint64_t apps_launched() const noexcept {
     return apps_launched_.load(std::memory_order_relaxed);
@@ -218,7 +210,7 @@ class WatzRuntime {
   /// Serialises the shared-memory staging of prepare(): the world-shared
   /// buffer is one physical region per device, not per slot.
   std::mutex prepare_mu_;
-  JitTierOptions jit_options_{};
+  bool jit_enabled_ = true;
   std::atomic<std::uint64_t> apps_launched_{0};
   std::atomic<std::uint64_t> modules_prepared_{0};
 };

@@ -6,7 +6,6 @@
 
 #include "hw/clock.hpp"
 #include "ra/attester.hpp"
-#include "wasm/jit/jit.hpp"
 
 namespace watz::gateway {
 
@@ -120,14 +119,11 @@ Status Gateway::start() {
   if (!dispatcher.ok()) return dispatcher;
 
   // The background sweeper runs when evidence renewal has a finite TTL to
-  // stay ahead of (an infinite TTL never goes stale) and/or JIT tiering
-  // needs its compile pump (only where the host can actually run native
-  // code — elsewhere the heat counters never queue anything).
+  // stay ahead of (an infinite TTL never goes stale) and/or module prewarm
+  // is on.
   const bool renew_evidence = config_.evidence_renewal &&
                               config_.session_policy.evidence_ttl_ns != ~0ull;
-  const bool pump_tiering = config_.jit_tiering && wasm::jit::jit_available();
-  if ((renew_evidence || pump_tiering || config_.module_prewarm) &&
-      !renew_thread_.joinable())
+  if ((renew_evidence || config_.module_prewarm) && !renew_thread_.joinable())
     renew_thread_ = std::thread([this] { renewal_loop(); });
 
   started_ = true;
@@ -174,12 +170,11 @@ Status Gateway::add_device(core::Device& device) {
         cache_config.max_pool_per_module
             ? std::max(cache_config.max_pool_per_module, pool)
             : 0;
-    // Fleet tiering knobs reach the device runtime BEFORE any module is
-    // prepared through the fresh cache (TierSets are built at prepare()
-    // time). jit_available() gates inside the runtime, so this is a no-op
-    // on non-x86-64 hosts / WATZ_DISABLE_JIT.
-    device.runtime().set_jit_options(
-        core::JitTierOptions{config_.jit_tiering, config_.jit_hot_calls});
+    // The fleet's tier switch reaches the device runtime BEFORE any module
+    // is prepared through the fresh cache (native code is compiled at
+    // prepare() time). jit_available() gates inside the runtime, so this
+    // is a no-op on non-x86-64 hosts / WATZ_DISABLE_JIT.
+    device.runtime().set_jit_enabled(config_.jit_tiering);
     backend->cache = std::make_shared<ModuleCache>(device.runtime(), cache_config);
     backend->cache->bind_tier_metrics(&tier_up_compiles_, &native_entries_,
                                       &jit_fallback_ops_, &tier_compile_ns_hist_,
@@ -1016,11 +1011,13 @@ Result<InvokeResponse> Gateway::execute_invoke(Slot& slot,
     if (traced) obs::emit_span(obs::Stage::Ra, ra_start, ra_start + ra_ns);
   }
 
-  // The registry is only consulted on a cold cache miss, and the binary is
-  // copied out so the worker never holds a view into a registry another
-  // client may be evicting.
-  Bytes binary;
-  if (!cache->contains(request.measurement)) binary = copy_binary(request.measurement);
+  // Every admission refreshes the binary's registry LRU, so a module the
+  // cache keeps serving does not age out of the registry while tenants
+  // upload (its next cold miss would find no binary). The bytes are copied
+  // out only on a cold miss, so the worker never holds a view into a
+  // registry another client may be evicting.
+  const Bytes binary =
+      use_binary(request.measurement, !cache->contains(request.measurement));
 
   core::AppConfig app_config;
   app_config.heap_bytes = request.heap_bytes
@@ -1442,36 +1439,13 @@ std::size_t Gateway::sweep_module_prewarms() {
   return prepared_total;
 }
 
-std::size_t Gateway::sweep_tier_compiles() {
-  // Codegen never enters a TEE and the per-cache sweep takes only leaf
-  // locks, so the whole fleet compiles on THIS (control-plane) thread —
-  // no slot queue is occupied and no guest invoke is delayed. The compile
-  // metric flushes ride the TierSets' bound registry sinks.
-  std::vector<Backend*> fleet;
-  {
-    std::lock_guard<std::mutex> lock(backends_mu_);
-    fleet = backend_order_;
-  }
-  std::size_t compiled = 0;
-  for (Backend* backend : fleet) {
-    std::shared_ptr<ModuleCache> cache;
-    {
-      std::lock_guard<std::mutex> lock(backend->state_mu);
-      cache = backend->cache;
-    }
-    if (cache) compiled += cache->sweep_tier_compiles();
-  }
-  return compiled;
-}
-
 void Gateway::renewal_loop() {
   const std::uint64_t ttl = config_.session_policy.evidence_ttl_ns;
   const bool renew_evidence = config_.evidence_renewal && ttl != ~0ull;
-  const bool pump_tiering = config_.jit_tiering && wasm::jit::jit_available();
   std::uint64_t interval = config_.renewal_interval_ns;
   if (interval == 0)
-    // Several sweeps per TTL; with no TTL to chase (tiering-only duty) a
-    // fixed cadence keeps hot functions from waiting long for native code.
+    // Several sweeps per TTL; with no TTL to chase (prewarm-only duty) a
+    // fixed cadence keeps newly registered binaries from waiting long.
     interval = renew_evidence ? ttl / 5 : 10'000'000;
   if (interval < 100'000) interval = 100'000;  // floor: don't spin
   std::unique_lock<std::mutex> lock(renew_mu_);
@@ -1481,7 +1455,6 @@ void Gateway::renewal_loop() {
     if (renew_stop_) return;
     lock.unlock();
     if (renew_evidence) sweep_evidence_renewals();
-    if (pump_tiering) sweep_tier_compiles();
     if (config_.module_prewarm) sweep_module_prewarms();
     lock.lock();
   }
@@ -1489,12 +1462,12 @@ void Gateway::renewal_loop() {
 
 // -- binary registry ---------------------------------------------------------
 
-Bytes Gateway::copy_binary(const crypto::Sha256Digest& measurement) {
+Bytes Gateway::use_binary(const crypto::Sha256Digest& measurement, bool copy) {
   std::lock_guard<std::mutex> lock(binaries_mu_);
   const auto it = binaries_.find(measurement);
   if (it == binaries_.end()) return {};
   it->second.last_used = ++binaries_tick_;
-  return it->second.bytes;
+  return copy ? it->second.bytes : Bytes{};
 }
 
 void Gateway::register_binary(const crypto::Sha256Digest& measurement, Bytes binary) {
@@ -1662,15 +1635,14 @@ GatewayStats Gateway::stats(bool detail) {
       if (detail) {
         // Per-measurement tier states ride the detail flag like the
         // slow-invoke ring: which tier each cached module executes on
-        // (interp / AOT / native entries installed) and how hot it runs.
+        // (interp / AOT / native entries) and how often it was leased.
         for (const ModuleCache::TierState& t : cache.tier_states()) {
           ModuleTierStats m;
           m.measurement = t.measurement;
           m.mode = static_cast<std::uint8_t>(t.mode);
           m.functions = t.functions;
           m.native_functions = t.native_functions;
-          m.hot_threshold = t.hot_threshold;
-          m.calls = t.total_calls;
+          m.calls = t.leases;
           d.modules.push_back(m);
         }
       }

@@ -84,15 +84,13 @@ struct GatewayConfig {
   /// and run queue, so one device executes up to this many invokes
   /// concurrently. 1 reproduces the old single-worker actor model.
   std::size_t slots_per_device = 1;
-  /// Native-codegen tiering across the fleet: forwarded to each enrolled
-  /// device's runtime (core::JitTierOptions) at enrolment. Hot functions
-  /// tier up to x86-64 native code, compiled ONCE per measurement by the
-  /// background sweeper and inherited by every warm checkout. No-ops on
-  /// hosts where wasm::jit::jit_available() is false (non-x86-64,
-  /// WATZ_DISABLE_JIT): execution stays on the AOT stream wholesale.
+  /// Native-codegen tier across the fleet: forwarded to each enrolled
+  /// device's runtime at enrolment. Every function of a module is compiled
+  /// to x86-64 native code while the module loads, once per measurement
+  /// per device, and shared by every instance of it. No-op on hosts where
+  /// wasm::jit::jit_available() is false (non-x86-64, WATZ_DISABLE_JIT):
+  /// execution stays on the AOT stream wholesale.
   bool jit_tiering = true;
-  /// Per-function call count before background native compilation.
-  std::uint32_t jit_hot_calls = 64;
   /// SUBMIT single-invoke dedup memo: a SUBMIT whose (measurement, entry,
   /// args, heap) executed this recently — and whose session holds fresh
   /// evidence for the executing device — is answered with the memoised
@@ -174,14 +172,6 @@ class Gateway {
   /// TTL. Returns how many evidences were renewed. Public so tests drive
   /// renewal deterministically.
   std::size_t sweep_evidence_renewals();
-
-  /// Runs one native tier-up pass NOW (what the background sweeper does
-  /// every interval): compiles every function the fleet's heat counters
-  /// queued since the last pass. Codegen never enters a TEE and takes only
-  /// leaf locks, so it runs on the calling (control-plane) thread rather
-  /// than occupying a sandbox slot. Returns functions tiered up. Public so
-  /// tests and benches drive tiering deterministically.
-  std::size_t sweep_tier_compiles();
 
   /// Runs one cross-device prewarm pass NOW (what the background sweeper
   /// does when GatewayConfig::module_prewarm is on): for every enrolled
@@ -350,9 +340,9 @@ class Gateway {
   void worker_loop(Slot& slot);
 
   /// Background sweeper (started by start() when evidence renewal has a
-  /// finite TTL to stay ahead of, or JIT tiering needs its compile pump):
-  /// wakes every renewal interval and runs sweep_evidence_renewals()
-  /// and/or sweep_tier_compiles().
+  /// finite TTL to stay ahead of, or module prewarm is on): wakes every
+  /// renewal interval and runs sweep_evidence_renewals() and/or
+  /// sweep_module_prewarms().
   void renewal_loop();
 
   /// Result-memo lookup (INVOKE, INVOKE_BATCH lanes and SUBMIT, gated on
@@ -437,10 +427,11 @@ class Gateway {
     std::uint64_t last_used = 0;
   };
 
-  /// Copies the registered binary for `measurement` out of the registry
-  /// (empty when never uploaded / already evicted). A copy, not a view:
-  /// the worker consuming it must not race registry eviction.
-  Bytes copy_binary(const crypto::Sha256Digest& measurement);
+  /// Marks the registered binary for `measurement` used (registry LRU)
+  /// and, when `copy`, returns a copy of it (empty when never uploaded /
+  /// already evicted). A copy, not a view: the worker consuming it must
+  /// not race registry eviction.
+  Bytes use_binary(const crypto::Sha256Digest& measurement, bool copy);
   /// Inserts under the registry budget, evicting LRU binaries to fit.
   /// Caller holds binaries_mu_.
   void register_binary(const crypto::Sha256Digest& measurement, Bytes binary);
@@ -515,8 +506,8 @@ class Gateway {
   obs::Counter& prewarm_prepares_ =
       registry_.counter("gateway.prewarm_prepares");
   /// Fleet-wide native-tiering instruments. Every enrolled device's module
-  /// cache binds its TierSets' metric flushes here (codegen is per
-  /// measurement, so these count tier-ups across the whole fleet).
+  /// cache binds its TierSets' metric flushes here (codegen runs at load,
+  /// per measurement, so these count compiles across the whole fleet).
   obs::Counter& tier_up_compiles_ = registry_.counter("wasm.tier_up_compiles");
   obs::Counter& native_entries_ = registry_.counter("wasm.native_entries");
   obs::Counter& jit_fallback_ops_ = registry_.counter("wasm.jit_fallback_ops");

@@ -22,24 +22,12 @@ Result<AppLease> ModuleCache::acquire(const crypto::Sha256Digest& measurement,
     if (!prepared.ok()) return Result<AppLease>::err(prepared.error());
     if ((*prepared)->measurement() != measurement)
       return Result<AppLease>::err("module cache: binary does not match measurement");
-    make_room((*prepared)->code_bytes(), nullptr);
-    Entry entry;
-    entry.prepared = std::move(*prepared);
-    entry.last_used = ++tick_;
-    charged_bytes_.add(entry.prepared->code_bytes());
-    // A fresh measurement's tier flushes into the same fleet-wide sinks as
-    // every other cached module from its first compile on.
-    if (entry.prepared->tier())
-      entry.prepared->tier()->bind_metrics(
-          tier_compiles_sink_, tier_entries_sink_, tier_fallback_sink_,
-          tier_compile_ns_sink_,
-          {tier_fallback_float_sink_, tier_fallback_conv_sink_,
-           tier_fallback_call_sink_, tier_fallback_other_sink_});
-    it = entries_.emplace(measurement, std::move(entry)).first;
+    Entry& entry = adopt(measurement, std::move(*prepared));
 
-    auto app = runtime_.instantiate(it->second.prepared, config, bound);
+    auto app = runtime_.instantiate(entry.prepared, config, bound);
     if (!app.ok()) return Result<AppLease>::err(app.error());
-    ++it->second.live;
+    ++entry.live;
+    ++entry.leases;
     AppLease lease;
     lease.cache = this;
     lease.app = std::move(*app);
@@ -76,6 +64,7 @@ Result<AppLease> ModuleCache::acquire(const crypto::Sha256Digest& measurement,
     entry.pooled_bytes -= freed;
     charged_bytes_.sub(freed);
     ++entry.live;
+    ++entry.leases;
     lease.module_cache_hit = true;
     lease.pool_hit = true;
     return lease;
@@ -87,6 +76,7 @@ Result<AppLease> ModuleCache::acquire(const crypto::Sha256Digest& measurement,
   auto app = runtime_.instantiate(entry.prepared, config, bound);
   if (!app.ok()) return Result<AppLease>::err(app.error());
   ++entry.live;
+  ++entry.leases;
   AppLease lease;
   lease.cache = this;
   lease.app = std::move(*app);
@@ -106,19 +96,27 @@ Status ModuleCache::prepare(const crypto::Sha256Digest& measurement,
   if (!prepared.ok()) return Status::err(prepared.error());
   if ((*prepared)->measurement() != measurement)
     return Status::err("module cache: binary does not match measurement");
-  make_room((*prepared)->code_bytes(), nullptr);
+  adopt(measurement, std::move(*prepared));
+  return Status{};
+}
+
+ModuleCache::Entry& ModuleCache::adopt(
+    const crypto::Sha256Digest& measurement,
+    std::shared_ptr<const core::PreparedModule> prepared) {
+  make_room(prepared->code_bytes(), nullptr);
   Entry entry;
-  entry.prepared = std::move(*prepared);
+  entry.prepared = std::move(prepared);
   entry.last_used = ++tick_;
   charged_bytes_.add(entry.prepared->code_bytes());
+  // A fresh measurement's tier flushes — its load-time compiles first —
+  // into the same fleet-wide sinks as every other cached module.
   if (entry.prepared->tier())
     entry.prepared->tier()->bind_metrics(
         tier_compiles_sink_, tier_entries_sink_, tier_fallback_sink_,
         tier_compile_ns_sink_,
         {tier_fallback_float_sink_, tier_fallback_conv_sink_,
          tier_fallback_call_sink_, tier_fallback_other_sink_});
-  entries_.emplace(measurement, std::move(entry));
-  return Status{};
+  return entries_.emplace(measurement, std::move(entry)).first->second;
 }
 
 void ModuleCache::release(std::unique_ptr<core::LoadedApp> app) {
@@ -128,14 +126,19 @@ void ModuleCache::release(std::unique_ptr<core::LoadedApp> app) {
   if (it == entries_.end()) return;  // module was evicted meanwhile: drop
   Entry& entry = it->second;
   if (entry.live > 0) --entry.live;
-  if (entry.pool.size() >= config_.max_pool_per_module) return;
+  // An instance that can never be parked — the pool is full, or its heap
+  // does not fit the budget even once every other module is gone — is
+  // dropped before paying for the scrub or evicting anything for it.
+  const std::size_t cost = app->heap_bytes();
+  if (entry.pool.size() >= config_.max_pool_per_module ||
+      entry_bytes(entry) + cost > config_.budget_bytes)
+    return;
   // Scrub the sandbox before the next tenant sees it: rebuild memory,
   // globals, table and segments to the freshly-instantiated state, and
   // clear the WASI output buffers. An instance that cannot be reset is
   // dropped rather than pooled.
   if (!app->instance().reinitialize().ok()) return;
   app->wasi().clear_output();
-  const std::size_t cost = app->heap_bytes();
   if (charged_bytes_.get() + cost > config_.budget_bytes)
     make_room(cost, &it->first);
   if (charged_bytes_.get() + cost > config_.budget_bytes)
@@ -149,22 +152,6 @@ void ModuleCache::forfeit(const crypto::Sha256Digest& measurement) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(measurement);
   if (it != entries_.end() && it->second.live > 0) --it->second.live;
-}
-
-std::size_t ModuleCache::sweep_tier_compiles() {
-  std::vector<std::shared_ptr<wasm::jit::TierSet>> tiers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tiers.reserve(entries_.size());
-    for (const auto& [digest, entry] : entries_)
-      if (entry.prepared->tier()) tiers.push_back(entry.prepared->tier());
-  }
-  // Codegen runs outside mu_: the cache mutex is a leaf held only for map
-  // surgery, and slot workers must keep acquiring/releasing while the
-  // control plane compiles.
-  std::size_t compiled = 0;
-  for (const auto& tier : tiers) compiled += tier->compile_pending();
-  return compiled;
 }
 
 void ModuleCache::bind_tier_metrics(obs::Counter* compiles, obs::Counter* entries,
@@ -190,70 +177,6 @@ void ModuleCache::bind_tier_metrics(obs::Counter* compiles, obs::Counter* entrie
           {fallback_float, fallback_conv, fallback_call, fallback_other});
 }
 
-std::uint64_t ModuleCache::tier_up_compiles() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->tier_up_compiles();
-  return n;
-}
-
-std::uint64_t ModuleCache::native_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->native_entries();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_ops() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_ops();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_float() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_float();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_conv() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_conv();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_call() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_call();
-  return n;
-}
-
-std::uint64_t ModuleCache::jit_fallback_other() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::uint64_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->fallback_other();
-  return n;
-}
-
-std::size_t ModuleCache::native_code_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [digest, entry] : entries_)
-    if (entry.prepared->tier()) n += entry.prepared->tier()->native_code_bytes();
-  return n;
-}
-
 std::vector<ModuleCache::TierState> ModuleCache::tier_states() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<TierState> states;
@@ -264,11 +187,9 @@ std::vector<ModuleCache::TierState> ModuleCache::tier_states() const {
     state.mode = entry.prepared->mode();
     state.functions =
         static_cast<std::uint32_t>(entry.prepared->compiled().size());
-    if (const auto& tier = entry.prepared->tier()) {
+    if (const auto& tier = entry.prepared->tier())
       state.native_functions = tier->native_functions();
-      state.hot_threshold = tier->hot_threshold();
-      state.total_calls = tier->total_calls();
-    }
+    state.leases = entry.leases;
     states.push_back(state);
   }
   return states;

@@ -14,7 +14,8 @@
 // instantiation entirely.
 //
 // Both live in the device's secure heap (27 MB ceiling), so the cache
-// enforces a byte budget: retained code pages plus pooled guest heaps are
+// enforces a byte budget: retained code pages (bytecode plus the native
+// image compiled at load, ~1.9x the Wasm size) and pooled guest heaps are
 // charged, and least-recently-used measurements are evicted whole when a
 // newcomer would overflow the budget. A module that is LIVE in any slot
 // (checked out via acquire, not yet released or forfeited) is pinned: it
@@ -40,7 +41,8 @@
 namespace watz::gateway {
 
 struct ModuleCacheConfig {
-  /// Secure-heap budget for retained code pages + pooled instances.
+  /// Secure-heap budget for retained code pages (bytecode + native image)
+  /// and pooled instances.
   std::size_t budget_bytes = 8 * 1024 * 1024;
   /// Warm LoadedApp instances retained per measurement (across all slots;
   /// a pool serving an N-slot device wants at least N so every slot can
@@ -111,23 +113,18 @@ class ModuleCache {
 
   /// Parks the instance in the warm pool of its measurement, tagged with
   /// the slot monitor it is bound to (subject to pool-size and budget
-  /// limits; dropped otherwise). Drops the lease's live pin.
+  /// limits; dropped otherwise — before any scrub or eviction when it could
+  /// never be parked). Drops the lease's live pin.
   void release(std::unique_ptr<core::LoadedApp> app);
 
   /// Drops the live pin of a lease whose app was torn down instead of
   /// released (guest trap, shutdown path).
   void forfeit(const crypto::Sha256Digest& measurement);
 
-  /// Control plane: runs the queued native tier-up compiles of every cached
-  /// measurement. The TierSets are collected under mu_ but compiled OUTSIDE
-  /// it (mu_ is a leaf and codegen is slow); the sets are shared_ptr-held so
-  /// a concurrent eviction cannot pull code pages out from under the
-  /// compiler. Returns the number of functions tiered up by this sweep.
-  std::size_t sweep_tier_compiles();
-
   /// Routes the tier metric flushes of every cached — and every future —
   /// measurement into registry-owned instruments (fleet-wide counters; the
-  /// sinks must outlive the cache). Unset sinks are skipped. The trailing
+  /// sinks must outlive the cache). A measurement's load-time compiles are
+  /// flushed when it is bound. Unset sinks are skipped. The trailing
   /// four split `fallback_ops` by thunk class so remaining coverage holes
   /// stay visible per class on the STATS wire.
   void bind_tier_metrics(obs::Counter* compiles, obs::Counter* entries,
@@ -162,17 +159,6 @@ class ModuleCache {
   std::uint64_t pool_hits() const noexcept { return pool_hits_.get(); }
   std::uint64_t prewarms() const noexcept { return prewarms_.get(); }
 
-  /// Tiering aggregates over the measurements currently cached (evicted
-  /// modules' counts live on only in the bound registry sinks).
-  std::uint64_t tier_up_compiles() const;
-  std::uint64_t native_entries() const;
-  std::uint64_t jit_fallback_ops() const;
-  std::uint64_t jit_fallback_float() const;
-  std::uint64_t jit_fallback_conv() const;
-  std::uint64_t jit_fallback_call() const;
-  std::uint64_t jit_fallback_other() const;
-  std::size_t native_code_bytes() const;
-
   /// The cache's own metric instances, exposed so a gateway can link them
   /// into its obs::Registry under device-scoped names (the cache stays the
   /// owner; gateway-free users keep working untouched).
@@ -187,14 +173,13 @@ class ModuleCache {
 
   /// Per-measurement execution-tier snapshot of every cached module, for
   /// the STATS detail surface: which tier it runs on (interp / AOT /
-  /// native entries installed) and how hot it is.
+  /// native entries) and how many instances it has leased.
   struct TierState {
     crypto::Sha256Digest measurement{};
     wasm::ExecMode mode = wasm::ExecMode::Aot;
     std::uint32_t functions = 0;
     std::uint32_t native_functions = 0;
-    std::uint32_t hot_threshold = 0;
-    std::uint64_t total_calls = 0;
+    std::uint64_t leases = 0;
   };
   std::vector<TierState> tier_states() const;
 
@@ -204,6 +189,7 @@ class ModuleCache {
     std::vector<std::unique_ptr<core::LoadedApp>> pool;
     std::size_t pooled_bytes = 0;  // guest heaps parked in the pool
     std::uint64_t last_used = 0;
+    std::uint64_t leases = 0;  // successful acquires, ever
     /// Leases checked out and not yet released/forfeited. A module with
     /// live instances in any slot is pinned against eviction.
     std::uint32_t live = 0;
@@ -212,6 +198,11 @@ class ModuleCache {
   std::size_t entry_bytes(const Entry& entry) const {
     return entry.prepared->code_bytes() + entry.pooled_bytes;
   }
+
+  /// Retains a freshly prepared module: makes room for its code, charges
+  /// it and binds its tier metrics. Caller holds mu_.
+  Entry& adopt(const crypto::Sha256Digest& measurement,
+               std::shared_ptr<const core::PreparedModule> prepared);
 
   /// Evicts LRU entries (sparing `keep` and anything live in a slot)
   /// until `incoming` more bytes fit the budget. Best effort: stops when

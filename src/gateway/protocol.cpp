@@ -667,7 +667,7 @@ Bytes GatewayStats::encode() const {
       out.push_back(m.mode);
       put_u32le(out, m.functions);
       put_u32le(out, m.native_functions);
-      put_u32le(out, m.hot_threshold);
+      put_u32le(out, m.reserved);
       put_u64le(out, m.calls);
     }
   }
@@ -794,7 +794,7 @@ Result<GatewayStats> GatewayStats::decode(ByteView data) {
       if (!mode.ok()) return Result<GatewayStats>::err(mode.error());
       mod.mode = *mode;
       for (std::uint32_t* field :
-           {&mod.functions, &mod.native_functions, &mod.hot_threshold}) {
+           {&mod.functions, &mod.native_functions, &mod.reserved}) {
         auto v = r.read_u32le();
         if (!v.ok()) return Result<GatewayStats>::err(v.error());
         *field = *v;

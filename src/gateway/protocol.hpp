@@ -303,14 +303,14 @@ struct SlotStats {
 
 /// Per-measurement execution-tier snapshot of one device's module cache,
 /// carried by STATS detail: which tier the module runs on (interp / AOT /
-/// AOT + native entries) and how hot it is.
+/// AOT + native entries) and how often it was invoked.
 struct ModuleTierStats {
   crypto::Sha256Digest measurement{};
   std::uint8_t mode = 0;  ///< wasm::ExecMode (0 = Interp, 1 = Aot)
   std::uint32_t functions = 0;         ///< functions in the module
-  std::uint32_t native_functions = 0;  ///< with an installed native entry
-  std::uint32_t hot_threshold = 0;     ///< calls before tier-up queues
-  std::uint64_t calls = 0;             ///< heat: sum of per-function calls
+  std::uint32_t native_functions = 0;  ///< compiled to native code at load
+  std::uint32_t reserved = 0;          ///< always 0 (kept for wire layout)
+  std::uint64_t calls = 0;             ///< instances leased from the cache
 };
 
 struct DeviceStats {
@@ -339,7 +339,7 @@ struct DeviceStats {
   std::uint32_t pool_slots = 0;
   std::vector<SlotStats> slots;
   /// Per-measurement tier state of this device's module cache (interp /
-  /// AOT / native + heat). Populated only when the STATS request set its
+  /// AOT / native + leases). Populated only when the STATS request set its
   /// detail flag; the wire always carries the count.
   std::vector<ModuleTierStats> modules;
 };
@@ -393,8 +393,8 @@ struct GatewayStats {
   /// Session evidences re-proved by the background renewal sweep BEFORE
   /// their TTL lapsed (the hot path never saw the staleness).
   std::uint64_t evidence_renewals = 0;
-  /// Functions tiered up to native code across the fleet (one count per
-  /// function per measurement: codegen is paid once fleet-wide).
+  /// Functions compiled to native code at load across the fleet (one
+  /// count per function per measurement per device that loaded it).
   std::uint64_t tier_up_compiles = 0;
   /// Guest invocations that entered through an installed native entry
   /// instead of the AOT interpreter stream.
@@ -435,9 +435,9 @@ struct GatewayStats {
   StageStats stage_exec;
   StageStats stage_tee_entry;
   StageStats stage_ra;
-  /// Native tier-up compile durations (wasm.tier_compile_ns). Populated
-  /// only when the STATS request set its detail flag, like slow_invokes;
-  /// the wire always carries the field.
+  /// Native compile durations at load, one sample per module image
+  /// (wasm.tier_compile_ns). Populated only when the STATS request set its
+  /// detail flag, like slow_invokes; the wire always carries the field.
   StageStats stage_jit_compile;
   std::vector<DeviceStats> devices;
   std::vector<RaShardStats> ra_shards;

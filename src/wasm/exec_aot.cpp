@@ -202,10 +202,9 @@ void exec_call_aot(Instance& inst, std::uint32_t func_index,
     return;
   }
 
-  // Tiered dispatch: a function whose native entry has been installed
-  // (release-store by the control plane) runs machine code; everything
-  // else runs the AOT stream and feeds the heat counter that eventually
-  // queues it for background compilation.
+  // Tiered dispatch: a function compiled at load runs machine code; one
+  // codegen refused (or a module without a native image) runs the AOT
+  // stream.
   if (jit::TierSet* tier = inst.tier.get()) {
     const std::uint32_t module_index = slot.module_func_index;
     if (const void* entry = tier->entry_for(module_index)) {
@@ -213,7 +212,6 @@ void exec_call_aot(Instance& inst, std::uint32_t func_index,
                             stack, sp, depth);
       return;
     }
-    tier->note_call(module_index);
   }
   exec_call_aot_stream(inst, slot, stack, sp, depth);
 }

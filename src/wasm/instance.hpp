@@ -180,8 +180,8 @@ class Instance {
   std::span<const CompiledFunc> compiled;
   /// Optional native-codegen tier shared by every instance of one prepared
   /// module (owned by the embedder, e.g. PreparedModule). When set, the AOT
-  /// entry point dispatches hot functions to installed native entries and
-  /// feeds the per-function heat counters. Null means pure AOT-stream.
+  /// entry point dispatches every function with a native entry to it.
+  /// Null means pure AOT-stream.
   std::shared_ptr<jit::TierSet> tier;
 
  private:

@@ -1344,7 +1344,7 @@ class FnCompiler {
     // Everything else the stream can legally contain — float rounding,
     // clz/ctz/popcnt, saturating truncation — runs through the per-opcode
     // fallback thunk. The prescan already priced its stack effect, so
-    // tier-up is never blocked.
+    // such an op never keeps its function off the native tier.
     if (op_delta(module_, ins).has_value()) {
       emit_fallback(ins, h);
       return true;

@@ -103,7 +103,8 @@ class ExecutableImage {
   ExecutableImage(const ExecutableImage&) = delete;
   ExecutableImage& operator=(const ExecutableImage&) = delete;
 
-  const std::uint8_t* entry() const noexcept { return pages_; }
+  /// First byte of the image; function entries sit at offsets from it.
+  const std::uint8_t* base() const noexcept { return pages_; }
   /// Page-rounded footprint (what the secure-heap gauge is charged).
   std::size_t bytes() const noexcept { return map_bytes_; }
 

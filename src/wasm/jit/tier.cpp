@@ -4,105 +4,80 @@
 
 namespace watz::wasm::jit {
 
+namespace {
+/// Function starts are 16-byte aligned inside the image (padding is int3).
+constexpr std::size_t kFuncAlign = 16;
+}  // namespace
+
 TierSet::TierSet(const Module* module, std::span<const CompiledFunc> compiled,
                  TierConfig config)
     : module_(module),
       compiled_(compiled),
       config_(std::move(config)),
-      funcs_(std::make_unique<TierFunc[]>(compiled.size())),
-      func_count_(static_cast<std::uint32_t>(compiled.size())) {}
+      entries_(compiled.size(), nullptr) {}
 
 TierSet::~TierSet() {
-  const std::size_t bytes = code_bytes_.load(std::memory_order_relaxed);
-  if (bytes != 0 && config_.release_code) config_.release_code(bytes);
-}
-
-void TierSet::note_call(std::uint32_t index) noexcept {
-  if (!config_.enabled || index >= compiled_.size()) return;
-  TierFunc& f = funcs_[index];
-  if (f.requested.load(std::memory_order_relaxed)) return;
-  if (f.calls.fetch_add(1, std::memory_order_relaxed) + 1 < config_.hot_threshold)
-    return;
-  if (f.requested.exchange(true, std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_.push_back(index);
-}
-
-std::size_t TierSet::compile_pending() {
-  std::vector<std::uint32_t> batch;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    batch.swap(pending_);
-  }
-  if (batch.empty()) return 0;
-  std::lock_guard<std::mutex> lock(compile_mu_);
-  std::size_t done = 0;
-  for (std::uint32_t index : batch) {
-    if (compile_one(index)) ++done;
-  }
-  return done;
+  if (image_ && config_.release_code) config_.release_code(image_->bytes());
 }
 
 std::size_t TierSet::compile_all() {
-  if (!config_.enabled) return 0;
-  std::lock_guard<std::mutex> lock(compile_mu_);
-  std::size_t done = 0;
-  for (std::uint32_t index = 0; index < compiled_.size(); ++index) {
-    funcs_[index].requested.store(true, std::memory_order_relaxed);
-    if (compile_one(index)) ++done;
-  }
-  return done;
-}
-
-bool TierSet::compile_one(std::uint32_t index) {
-  TierFunc& f = funcs_[index];
-  if (f.entry.load(std::memory_order_relaxed) != nullptr ||
-      f.failed.load(std::memory_order_relaxed)) {
-    return false;
-  }
+  if (!config_.enabled || compiled_once_) return 0;
+  compiled_once_ = true;
   const std::uint64_t start_ns = hw::monotonic_ns();
-  std::uint16_t refused_op = 0xffff;
-  std::vector<std::uint8_t> code =
-      compile_function(*module_, compiled_[index], &refused_op);
-  if (code.empty()) {  // shape the baseline refuses: stays on the AOT stream
-    f.failed.store(true, std::memory_order_relaxed);
-    refused_functions_.fetch_add(1, std::memory_order_relaxed);
-    last_refused_op_.store(refused_op, std::memory_order_relaxed);
-    return false;
+
+  // Every function is lowered into one buffer at an aligned offset; the
+  // generated code is position-independent, so the offsets become entries
+  // once the buffer is mapped.
+  std::vector<std::uint8_t> code;
+  std::vector<std::size_t> offsets(compiled_.size(), SIZE_MAX);
+  for (std::uint32_t index = 0; index < compiled_.size(); ++index) {
+    std::uint16_t refused_op = 0xffff;
+    const std::vector<std::uint8_t> fn =
+        compile_function(*module_, compiled_[index], &refused_op);
+    if (fn.empty()) {  // shape the baseline refuses: stays on the AOT stream
+      ++refused_functions_;
+      last_refused_op_ = refused_op;
+      continue;
+    }
+    code.resize((code.size() + kFuncAlign - 1) & ~(kFuncAlign - 1), 0xcc);
+    offsets[index] = code.size();
+    code.insert(code.end(), fn.begin(), fn.end());
   }
+  if (code.empty()) return 0;
+
+  // W^X mapping or the secure-heap charge failing leaves the whole module
+  // on the AOT stream.
   auto image = ExecutableImage::create(code.data(), code.size());
-  if (!image) {  // W^X mapping failed: wholesale AOT fallback for this func
-    f.failed.store(true, std::memory_order_relaxed);
-    return false;
+  if (!image) return 0;
+  if (config_.charge_code && !config_.charge_code(image->bytes())) return 0;
+  image_ = std::move(image);
+  for (std::uint32_t index = 0; index < compiled_.size(); ++index) {
+    if (offsets[index] == SIZE_MAX) continue;
+    entries_[index] = image_->base() + offsets[index];
+    ++native_functions_;
   }
-  if (config_.charge_code && !config_.charge_code(image->bytes())) {
-    f.failed.store(true, std::memory_order_relaxed);
-    return false;
-  }
-  code_bytes_.fetch_add(image->bytes(), std::memory_order_relaxed);
-  const std::uint64_t elapsed_ns = hw::monotonic_ns() - start_ns;
-  compiles_total_.fetch_add(1, std::memory_order_relaxed);
-  if (auto* c = sink_compiles_.load(std::memory_order_relaxed)) c->add(1);
-  if (auto* h = sink_compile_ns_.load(std::memory_order_relaxed))
-    h->record(elapsed_ns);
-  const void* entry = image->entry();
-  images_.push_back(std::move(image));
-  f.entry.store(entry, std::memory_order_release);
-  return true;
+  compile_ns_ = hw::monotonic_ns() - start_ns;
+  if (sink_compiles_ != nullptr) sink_compiles_->add(native_functions_);
+  if (sink_compile_ns_ != nullptr) sink_compile_ns_->record(compile_ns_);
+  return native_functions_;
 }
 
 void TierSet::bind_metrics(obs::Counter* compiles, obs::Counter* native_entries,
                            obs::Counter* fallback_ops,
                            obs::Histogram* compile_ns,
                            ClassSinks classes) noexcept {
-  sink_compiles_.store(compiles, std::memory_order_relaxed);
+  sink_compiles_ = compiles;
+  sink_compile_ns_ = compile_ns;
+  if (image_) {
+    if (compiles != nullptr) compiles->add(native_functions_);
+    if (compile_ns != nullptr) compile_ns->record(compile_ns_);
+  }
   sink_entries_.store(native_entries, std::memory_order_relaxed);
   sink_fallback_.store(fallback_ops, std::memory_order_relaxed);
   sink_fallback_float_.store(classes.float_ops, std::memory_order_relaxed);
   sink_fallback_conv_.store(classes.conv_ops, std::memory_order_relaxed);
   sink_fallback_call_.store(classes.call_ops, std::memory_order_relaxed);
   sink_fallback_other_.store(classes.other_ops, std::memory_order_relaxed);
-  sink_compile_ns_.store(compile_ns, std::memory_order_relaxed);
 }
 
 void TierSet::count_native_entry() noexcept {

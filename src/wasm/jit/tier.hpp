@@ -1,25 +1,25 @@
-// Per-module tiering state: heat counters, the compile queue and the
-// installed native entry pointers.
+// Per-module native tier: the module's functions compiled into one W^X
+// image, and the per-function entry table into it.
 //
 // One TierSet exists per prepared module (owned by PreparedModule, shared
 // into every Instance via `Instance::tier`), so codegen is paid once per
-// measurement fleet-wide and warm pool checkouts inherit native entries.
+// measurement and every instance of it runs native code from its first
+// call.
 //
-// Concurrency contract:
-//   * note_call()/entry_for() run on SandboxSlot workers — lock-free.
-//   * compile_pending()/compile_all() run on the control plane (the
-//     gateway's background sweeper or an explicit test/bench call), never
-//     on a worker. A mutex serialises compilers; installation is a single
-//     release-store into the per-function entry pointer, which workers
-//     load-acquire. A worker that reads the old null simply runs the AOT
-//     stream one more time — there is no blocking anywhere on the hot path.
+// Lifecycle: the owner builds the set and calls compile_all() once,
+// before the set is shared (core::WatzRuntime::prepare does it inside the
+// Loading phase). compile_all() emits every function into one image — one
+// mmap, one mprotect, one secure-heap charge — and fills the entry table.
+// From then on the table is immutable, so entry_for() is a plain load on
+// the hot path. A function codegen refuses, or a whole module whose image
+// cannot be mapped or charged, keeps a null entry and runs on the AOT
+// stream.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -30,11 +30,10 @@ namespace watz::wasm::jit {
 
 struct TierConfig {
   bool enabled = true;
-  /// Calls to one function before it is queued for native compilation.
-  std::uint32_t hot_threshold = 64;
-  /// Secure-heap accounting for executable pages: charge returns false when
-  /// the reservation would exceed the enclave heap bound (the function then
-  /// stays on the AOT stream); release undoes the charge (TierSet dtor).
+  /// Secure-heap accounting for the executable image: charge returns false
+  /// when the reservation would exceed the enclave heap bound (the module
+  /// then stays on the AOT stream); release undoes the charge (TierSet
+  /// dtor).
   std::function<bool(std::size_t)> charge_code;
   std::function<void(std::size_t)> release_code;
 };
@@ -59,25 +58,22 @@ class TierSet {
   TierSet(const TierSet&) = delete;
   TierSet& operator=(const TierSet&) = delete;
 
-  /// Hot path: the installed native entry for a module-local function
-  /// index, or null while the function is still on the AOT stream.
+  /// Hot path: the native entry for a module-local function index, or
+  /// null when the function runs on the AOT stream.
   const void* entry_for(std::uint32_t index) const noexcept {
-    return funcs_[index].entry.load(std::memory_order_acquire);
+    return entries_[index];
   }
 
-  /// Hot path: bump the heat counter; queues the function for background
-  /// compilation when it crosses the threshold (exactly once).
-  void note_call(std::uint32_t index) noexcept;
-
-  /// Control plane: compile everything the heat counters queued. Returns
-  /// the number of functions tiered up by this call.
-  std::size_t compile_pending();
-
-  /// Control plane / tests: force-compile every eligible function now.
+  /// Compiles every function into one image and installs the entries.
+  /// Runs once (later calls return 0) and must finish before the set is
+  /// shared with an executing instance. Returns the functions compiled.
   std::size_t compile_all();
 
   /// Points the metric flushes at registry-owned instruments (fleet-wide
-  /// counters). Unbound sinks are skipped; local totals always accumulate.
+  /// counters). The compile count and duration already recorded are
+  /// flushed into the new sinks, so binding after compile_all() counts
+  /// the load-time compiles. Unbound sinks are skipped; local totals
+  /// always accumulate.
   void bind_metrics(obs::Counter* compiles, obs::Counter* native_entries,
                     obs::Counter* fallback_ops, obs::Histogram* compile_ns,
                     ClassSinks classes = {}) noexcept;
@@ -89,9 +85,6 @@ class TierSet {
                             std::uint64_t call_ops,
                             std::uint64_t other_ops) noexcept;
 
-  std::uint64_t tier_up_compiles() const noexcept {
-    return compiles_total_.load(std::memory_order_relaxed);
-  }
   std::uint64_t native_entries() const noexcept {
     return entries_total_.load(std::memory_order_relaxed);
   }
@@ -113,81 +106,46 @@ class TierSet {
   /// Coverage diagnostics: how many functions codegen refused, and the
   /// opcode that stopped the most recent refusal (0xffffffff while no
   /// function has refused; 0xffff for structural refusals).
-  std::uint64_t refused_functions() const noexcept {
-    return refused_functions_.load(std::memory_order_relaxed);
-  }
-  std::uint32_t last_refused_op() const noexcept {
-    return last_refused_op_.load(std::memory_order_relaxed);
-  }
-  /// Page-rounded executable bytes currently mapped (charged to the
-  /// secure heap).
+  std::uint64_t refused_functions() const noexcept { return refused_functions_; }
+  std::uint32_t last_refused_op() const noexcept { return last_refused_op_; }
+  /// Page-rounded bytes of the executable image (charged to the secure
+  /// heap; 0 until compiled or when every function stayed on the AOT
+  /// stream).
   std::size_t native_code_bytes() const noexcept {
-    return code_bytes_.load(std::memory_order_relaxed);
+    return image_ ? image_->bytes() : 0;
   }
-  std::uint32_t hot_threshold() const noexcept { return config_.hot_threshold; }
-  bool enabled() const noexcept { return config_.enabled; }
-
-  /// Snapshot accessors for the STATS tier-state surface (relaxed scans
-  /// over the per-function atomics; approximate under concurrent calls,
-  /// which is all a stats sample needs).
-  std::uint32_t func_count() const noexcept { return func_count_; }
-  /// Functions currently dispatching through an installed native entry.
-  std::uint32_t native_functions() const noexcept {
-    std::uint32_t n = 0;
-    for (std::uint32_t i = 0; i < func_count_; ++i)
-      if (funcs_[i].entry.load(std::memory_order_relaxed) != nullptr) ++n;
-    return n;
-  }
-  /// Module heat: the sum of every function's call counter.
-  std::uint64_t total_calls() const noexcept {
-    std::uint64_t n = 0;
-    for (std::uint32_t i = 0; i < func_count_; ++i)
-      n += funcs_[i].calls.load(std::memory_order_relaxed);
-    return n;
-  }
+  /// Functions dispatching through a native entry.
+  std::uint32_t native_functions() const noexcept { return native_functions_; }
 
  private:
-  struct TierFunc {
-    std::atomic<const void*> entry{nullptr};
-    std::atomic<std::uint64_t> calls{0};
-    std::atomic<bool> requested{false};
-    std::atomic<bool> failed{false};
-  };
-
-  /// Compile + W^X-map + charge + install one function. compile_mu_ held.
-  bool compile_one(std::uint32_t index);
-
   const Module* module_;
   std::span<const CompiledFunc> compiled_;
   TierConfig config_;
-  std::unique_ptr<TierFunc[]> funcs_;
-  std::uint32_t func_count_ = 0;  ///< size of funcs_ (snapshot scans)
+  std::vector<const void*> entries_;  // immutable once compile_all() ran
+  std::unique_ptr<ExecutableImage> image_;
+  bool compiled_once_ = false;
+  std::uint32_t native_functions_ = 0;
+  std::uint64_t refused_functions_ = 0;
+  std::uint32_t last_refused_op_ = 0xffffffff;
+  std::uint64_t compile_ns_ = 0;
 
-  std::mutex pending_mu_;
-  std::vector<std::uint32_t> pending_;
-
-  std::mutex compile_mu_;  // serialises compilers; images_ lives under it
-  std::vector<std::unique_ptr<ExecutableImage>> images_;
-
-  std::atomic<std::size_t> code_bytes_{0};
-  std::atomic<std::uint64_t> compiles_total_{0};
   std::atomic<std::uint64_t> entries_total_{0};
   std::atomic<std::uint64_t> fallback_total_{0};
   std::atomic<std::uint64_t> fallback_float_{0};
   std::atomic<std::uint64_t> fallback_conv_{0};
   std::atomic<std::uint64_t> fallback_call_{0};
   std::atomic<std::uint64_t> fallback_other_{0};
-  std::atomic<std::uint64_t> refused_functions_{0};
-  std::atomic<std::uint32_t> last_refused_op_{0xffffffff};
 
-  std::atomic<obs::Counter*> sink_compiles_{nullptr};
+  // Compile sinks are touched only by compile_all() and bind_metrics(),
+  // never by executing instances.
+  obs::Counter* sink_compiles_ = nullptr;
+  obs::Histogram* sink_compile_ns_ = nullptr;
   std::atomic<obs::Counter*> sink_entries_{nullptr};
   std::atomic<obs::Counter*> sink_fallback_{nullptr};
   std::atomic<obs::Counter*> sink_fallback_float_{nullptr};
   std::atomic<obs::Counter*> sink_fallback_conv_{nullptr};
   std::atomic<obs::Counter*> sink_fallback_call_{nullptr};
   std::atomic<obs::Counter*> sink_fallback_other_{nullptr};
-  std::atomic<obs::Histogram*> sink_compile_ns_{nullptr};
 };
 
 }  // namespace watz::wasm::jit

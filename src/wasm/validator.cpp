@@ -1,5 +1,6 @@
 #include "wasm/validator.hpp"
 
+#include <bit>
 #include <optional>
 
 #include "common/leb128.hpp"
@@ -147,7 +148,9 @@ class FuncValidator {
       return Status::err("validate: memory access without memory");
     auto align = imm_u32();
     if (!align.ok()) return Status::err(align.error());
-    if ((1u << *align) > natural_align)
+    // Compared as log2 without shifting: the immediate is an untrusted u32,
+    // and any shift by >= 32 is undefined.
+    if (*align > static_cast<std::uint32_t>(std::countr_zero(natural_align)))
       return Status::err("validate: alignment exceeds natural alignment");
     auto offset = imm_u32();
     if (!offset.ok()) return Status::err(offset.error());

@@ -593,19 +593,26 @@ TEST_F(GatewaySlowDeviceTest, AsyncFuturesResolveOnDetach) {
   ASSERT_TRUE(keeper.ok());
 
   // Fill the slow device's queue (capacity 2: one executing, one queued)
-  // through the async API, then detach with both in flight. Wait for both
-  // admissions via the depth peak so the detach deterministically catches
-  // a queued item.
+  // through the async API, then detach with both in flight. Each send runs
+  // on its own thread, so admission order is only fixed by waiting for the
+  // first admission before sending the second; waiting for both makes the
+  // detach deterministically catch the second queued. The slot's live
+  // in-flight count is the signal (the depth PEAK already counts the
+  // attaches' control-lane items).
+  auto wait_for_depth = [&](std::uint64_t depth) {
+    for (int spin = 0; spin < 2000; ++spin) {
+      auto stats = watcher.stats(keeper->session_id);
+      ASSERT_TRUE(stats.ok());
+      if (stats->devices[0].slots[0].inflight >= depth) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
   auto first =
       client_->invoke_async(add_request(attach->session_id, load->measurement, 1, 1));
+  wait_for_depth(1);
   auto second =
       client_->invoke_async(add_request(attach->session_id, load->measurement, 2, 2));
-  for (int spin = 0; spin < 2000; ++spin) {
-    auto stats = watcher.stats(keeper->session_id);
-    ASSERT_TRUE(stats.ok());
-    if (stats->devices[0].queue_depth_peak >= 2) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  wait_for_depth(2);
   ASSERT_TRUE(client_->detach(attach->session_id).ok());
 
   // Every issued future resolves — nothing hangs, nothing is abandoned.
@@ -760,15 +767,22 @@ TEST_F(ModuleCacheTest, ReleaseWarmsThePool) {
 }
 
 TEST_F(ModuleCacheTest, LruEvictionUnderHeapPressure) {
-  ModuleCacheConfig config;
-  config.budget_bytes = 150 * 1024;  // fits one ~100 KiB module, not two
-  ModuleCache cache(device_->runtime(), config);
-
+  // Budgets are counted in module footprints — bytecode plus the native
+  // image, when the host compiles one — so the same shape holds on every
+  // tier. All the modules below have the same footprint.
   const Bytes app_a = sized_app(96, 1);
   const Bytes app_b = sized_app(96, 2);
   const crypto::Sha256Digest ma = crypto::sha256(app_a);
   const crypto::Sha256Digest mb = crypto::sha256(app_b);
   ASSERT_GT(app_a.size(), 90u * 1024);
+  auto probe = device_->runtime().prepare(app_a);
+  ASSERT_TRUE(probe.ok()) << probe.error();
+  const std::size_t footprint = (*probe)->code_bytes();
+  ASSERT_GE(footprint, app_a.size());
+
+  ModuleCacheConfig config;
+  config.budget_bytes = footprint * 3 / 2;  // fits one module, not two
+  ModuleCache cache(device_->runtime(), config);
 
   ASSERT_TRUE(cache.acquire(ma, app_a, small_heap()).ok());
   EXPECT_TRUE(cache.contains(ma));
@@ -788,7 +802,7 @@ TEST_F(ModuleCacheTest, LruEvictionUnderHeapPressure) {
   // Touch order decides the victim: with a budget for two small modules,
   // the least recently used one goes.
   ModuleCacheConfig roomy;
-  roomy.budget_bytes = 210 * 1024;  // fits two ~100 KiB modules, not three
+  roomy.budget_bytes = footprint * 21 / 10;  // fits two modules, not three
   ModuleCache lru(device_->runtime(), roomy);
   const Bytes small_a = sized_app(96, 3);
   const Bytes small_b = sized_app(96, 4);
@@ -799,6 +813,43 @@ TEST_F(ModuleCacheTest, LruEvictionUnderHeapPressure) {
   ASSERT_TRUE(lru.acquire(crypto::sha256(small_c), small_c, small_heap()).ok());
   EXPECT_TRUE(lru.contains(crypto::sha256(small_a)));
   EXPECT_FALSE(lru.contains(crypto::sha256(small_b)));  // LRU victim
+}
+
+TEST_F(ModuleCacheTest, UnparkableReleaseEvictsNothing) {
+  // An app whose heap can never fit the budget is dropped on release
+  // without evicting the other cached modules or their pooled instances.
+  ModuleCacheConfig config;
+  config.budget_bytes = 1024 * 1024;
+  ModuleCache cache(device_->runtime(), config);
+  const Bytes app_a = sized_app(1, 1), app_b = sized_app(1, 2),
+              app_c = sized_app(1, 3);
+  const crypto::Sha256Digest ma = crypto::sha256(app_a),
+                             mb = crypto::sha256(app_b),
+                             mc = crypto::sha256(app_c);
+  for (const auto& [m, app] : {std::pair{ma, &app_a}, std::pair{mb, &app_b}}) {
+    auto lease = cache.acquire(m, *app, small_heap());
+    ASSERT_TRUE(lease.ok()) << lease.error();
+    cache.release(std::move(lease->app));
+  }
+  const std::size_t charged = cache.charged_bytes();
+
+  core::AppConfig oversized;
+  oversized.heap_bytes = 2 * config.budget_bytes;
+  auto big = cache.acquire(mc, app_c, oversized);
+  ASSERT_TRUE(big.ok()) << big.error();
+  const std::size_t with_c = cache.charged_bytes();
+  EXPECT_GT(with_c, charged);  // C's code only
+  cache.release(std::move(big->app));
+
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.charged_bytes(), with_c);
+  EXPECT_EQ(cache.cached_modules(), 3u);
+  EXPECT_EQ(cache.live_leases(mc), 0u);  // the drop still released the pin
+  for (const auto& m : {ma, mb}) {
+    auto pooled = cache.acquire(m, {}, small_heap());
+    ASSERT_TRUE(pooled.ok()) << pooled.error();
+    EXPECT_TRUE(pooled->pool_hit);
+  }
 }
 
 TEST_F(ModuleCacheTest, PooledInstancesAreScrubbedBetweenTenants) {
@@ -1001,7 +1052,7 @@ TEST(GatewayProtocolTest, MigrationPrewarmAndTierStatsFraming) {
   tier.mode = 1;  // Aot
   tier.functions = 12;
   tier.native_functions = 5;
-  tier.hot_threshold = 64;
+  tier.reserved = 64;
   tier.calls = 4096;
   node.modules.push_back(tier);
   stats.devices.push_back(std::move(node));
@@ -1020,7 +1071,7 @@ TEST(GatewayProtocolTest, MigrationPrewarmAndTierStatsFraming) {
   EXPECT_EQ(tier2.mode, 1);
   EXPECT_EQ(tier2.functions, 12u);
   EXPECT_EQ(tier2.native_functions, 5u);
-  EXPECT_EQ(tier2.hot_threshold, 64u);
+  EXPECT_EQ(tier2.reserved, 64u);
   EXPECT_EQ(tier2.calls, 4096u);
 
   // Framing strictness. A truncated frame (cut mid-module or cutting the

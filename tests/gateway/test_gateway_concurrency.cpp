@@ -187,13 +187,6 @@ TEST(ModuleCacheConcurrencyTest, BudgetHoldsAndInstancesAreExclusive) {
   auto device = core::Device::boot(fabric, vendor, device_config("cache", 0x61));
   ASSERT_TRUE(device.ok()) << device.error();
 
-  // Budget sized so three small modules plus pooled 64 KiB heaps cannot
-  // all stay resident: the threads keep forcing LRU eviction churn.
-  ModuleCacheConfig config;
-  config.budget_bytes = 160 * 1024;
-  config.max_pool_per_module = 2;
-  ModuleCache cache((*device)->runtime(), config);
-
   struct Guest {
     Bytes binary;
     crypto::Sha256Digest measurement;
@@ -205,6 +198,20 @@ TEST(ModuleCacheConcurrencyTest, BudgetHoldsAndInstancesAreExclusive) {
     guest.measurement = crypto::sha256(guest.binary);
     guests.push_back(std::move(guest));
   }
+
+  // Budget sized so three small modules plus pooled 64 KiB heaps cannot
+  // all stay resident — the threads keep forcing LRU eviction churn — while
+  // an insert next to two live modules and two pooled heaps always fits.
+  // A module's footprint is its bytecode plus its native image (when the
+  // host compiles one); all three guests have the same footprint.
+  auto probe = (*device)->runtime().prepare(guests[0].binary);
+  ASSERT_TRUE(probe.ok()) << probe.error();
+  const std::size_t footprint = (*probe)->code_bytes();
+  constexpr std::size_t kHeap = 64 * 1024;
+  ModuleCacheConfig config;
+  config.budget_bytes = 3 * footprint + 2 * kHeap + kHeap / 8;
+  config.max_pool_per_module = 2;
+  ModuleCache cache((*device)->runtime(), config);
 
   // Every instance handed out is tracked; two tenants holding the same
   // pointer at once would be a pooled instance double-hand-out.
@@ -220,7 +227,7 @@ TEST(ModuleCacheConcurrencyTest, BudgetHoldsAndInstancesAreExclusive) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       core::AppConfig app_config;
-      app_config.heap_bytes = 64 * 1024;
+      app_config.heap_bytes = kHeap;
       for (int i = 0; i < kIters; ++i) {
         const Guest& guest = guests[(t + i) % guests.size()];
         auto lease = cache.acquire(guest.measurement, guest.binary, app_config);

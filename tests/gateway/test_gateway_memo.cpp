@@ -11,6 +11,7 @@
 #include "gateway/gateway.hpp"
 #include "gateway/invoke_memo.hpp"
 #include "wasm/builder.hpp"
+#include "wasm/jit/jit.hpp"
 
 namespace watz::gateway {
 namespace {
@@ -270,8 +271,11 @@ TEST_F(GatewayMemoTest, StatsDetailCarriesPerMeasurementTierState) {
   EXPECT_EQ(tier.measurement, load->measurement);
   EXPECT_EQ(tier.mode, 1);  // wasm::ExecMode::Aot — the fleet default
   EXPECT_GT(tier.functions, 0u);
-  EXPECT_GT(tier.hot_threshold, 0u);
-  EXPECT_GT(tier.calls, 0u);  // the invoke above heated the module
+  // Compiled at load: native from the first invoke wherever the JIT runs.
+  EXPECT_EQ(tier.native_functions,
+            wasm::jit::jit_available() ? tier.functions : 0u);
+  EXPECT_EQ(tier.reserved, 0u);
+  EXPECT_GT(tier.calls, 0u);  // the invoke above leased an instance
 }
 
 }  // namespace

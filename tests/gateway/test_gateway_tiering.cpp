@@ -1,8 +1,9 @@
-// Gateway-level native tiering + SUBMIT memo tests: heat counters trip
-// background compilation through Gateway::sweep_tier_compiles, native
-// entries are inherited by warm pool checkouts, the tiering counters ride
-// the STATS wire frame, and the single-invoke result memo answers twin
-// SUBMITs without entering a sandbox.
+// Gateway-level native tier + SUBMIT memo tests: every function is
+// compiled at load, so the first invoke already runs native code and no
+// compile happens after it; native code counts against the module-cache
+// budget; the binary registry keeps binaries the cache still serves; the
+// tier counters ride the STATS wire frame; and the single-invoke result
+// memo answers twin SUBMITs without entering a sandbox.
 //
 // Every native-specific assertion is gated on wasm::jit::jit_available():
 // under WATZ_DISABLE_JIT (the CI fallback leg) or on non-x86-64 hosts the
@@ -49,6 +50,21 @@ Bytes compute_app() {
   e.local_get(2);
   b.set_body(f, e.bytes());
   b.export_function("work", f);
+  return b.build();
+}
+
+/// Guest of ~`kib` KiB of unrolled i64 arithmetic exporting run() -> i64;
+/// `salt` makes each one a distinct measurement.
+Bytes bulky_app(int kib, std::int64_t salt) {
+  wasm::ModuleBuilder b;
+  b.add_memory(1);
+  wasm::CodeEmitter e;
+  e.i64_const(salt);
+  for (int i = 0; i < kib * 93; ++i)  // ~11 bytes per const+add pair
+    e.i64_const(0x0102030405060708LL + i).op(wasm::kI64Add);
+  const auto f = b.add_function({{}, {wasm::ValType::I64}});
+  b.set_body(f, e.bytes());
+  b.export_function("run", f);
   return b.build();
 }
 
@@ -111,50 +127,43 @@ class GatewayTieringTest : public ::testing::Test {
   crypto::Sha256Digest measurement_{};
 };
 
-TEST_F(GatewayTieringTest, HotInvokesTierUpViaControlPlaneSweep) {
-  GatewayConfig config;
-  config.jit_hot_calls = 1;  // first touch marks the function hot
-  SetUpFleet(config);
+TEST_F(GatewayTieringTest, FirstInvokeRunsNativeWithNoCompileAfterLoad) {
+  SetUpFleet(GatewayConfig{});
   AttachAndLoad();
+  const bool native = wasm::jit::jit_available();
 
-  // First invoke runs on the AOT stream and trips the heat counter.
+  // The first invoke prepares the module — compiling every function — and
+  // already runs on the native entry.
   auto first = client_->invoke(work_request(1000));
   ASSERT_TRUE(first.ok()) << first.error();
   EXPECT_EQ(first->results.front().i32(), 500500);
+  GatewayStats stats = gateway_->stats(/*detail=*/true);
+  ASSERT_EQ(stats.devices.size(), 1u);
+  ASSERT_EQ(stats.devices[0].modules.size(), 1u);
+  const ModuleTierStats& tier = stats.devices[0].modules[0];
+  EXPECT_EQ(tier.functions, 1u);
+  EXPECT_EQ(tier.native_functions, native ? tier.functions : 0u);
+  EXPECT_EQ(stats.tier_up_compiles, native ? 1u : 0u);
+  EXPECT_EQ(stats.native_entries, native ? 1u : 0u);
+  // Pure-integer module: nothing goes through the thunks.
+  EXPECT_EQ(stats.jit_fallback_ops, 0u);
 
-  // The explicit sweep is what the background sweeper does every interval;
-  // driving it here makes the tier-up deterministic.
-  const std::size_t compiled = gateway_->sweep_tier_compiles();
-  auto second = client_->invoke(work_request(2000));
-  ASSERT_TRUE(second.ok()) << second.error();
-  EXPECT_EQ(second->results.front().i32(), 2001000);
-
-  GatewayStats stats = gateway_->stats();
-  if (wasm::jit::jit_available()) {
-    EXPECT_GT(compiled, 0u);
-    EXPECT_GT(stats.tier_up_compiles, 0u);
-    EXPECT_GT(stats.native_entries, 0u);
-    // Pure-integer module: nothing should have gone through the thunks.
-    EXPECT_EQ(stats.jit_fallback_ops, 0u);
-    // Idempotent: nothing left pending after the sweep.
-    EXPECT_EQ(gateway_->sweep_tier_compiles(), 0u);
-  } else {
-    // Fallback leg (WATZ_DISABLE_JIT / non-x86-64): wholesale AOT stream,
-    // results identical, tiering plane quiescent.
-    EXPECT_EQ(compiled, 0u);
-    EXPECT_EQ(stats.tier_up_compiles, 0u);
-    EXPECT_EQ(stats.native_entries, 0u);
+  // Later invokes compile nothing more and keep running native code.
+  for (int i = 0; i < 3; ++i) {
+    auto again = client_->invoke(work_request(2000));
+    ASSERT_TRUE(again.ok()) << again.error();
+    EXPECT_EQ(again->results.front().i32(), 2001000);
   }
+  stats = gateway_->stats();
+  EXPECT_EQ(stats.tier_up_compiles, native ? 1u : 0u);
+  EXPECT_EQ(stats.native_entries, native ? 4u : 0u);
 }
 
 TEST_F(GatewayTieringTest, TieringCountersRideTheStatsWire) {
-  GatewayConfig config;
-  config.jit_hot_calls = 1;
-  SetUpFleet(config);
+  SetUpFleet(GatewayConfig{});
   AttachAndLoad();
 
   ASSERT_TRUE(client_->invoke(work_request(10)).ok());
-  gateway_->sweep_tier_compiles();
   ASSERT_TRUE(client_->invoke(work_request(10)).ok());
 
   // Round-trip through the wire encoding: the client-side decode must see
@@ -176,6 +185,83 @@ TEST_F(GatewayTieringTest, TieringCountersRideTheStatsWire) {
     EXPECT_EQ(plain->stage_jit_compile.count, 0u);
     EXPECT_EQ(plain->tier_up_compiles, wire->tier_up_compiles);
   }
+}
+
+TEST_F(GatewayTieringTest, NativeCodeCountsAgainstCacheBudget) {
+  // Six ~1 MiB modules: bytecode alone (6 MiB) fits the default 8 MiB
+  // cache budget, bytecode plus native code (~3 MiB each) does not. If
+  // native code went uncounted, the cache would keep all six resident and
+  // the 12 MB-heap invoke below would exceed the 27 MB secure heap.
+  SetUpFleet(GatewayConfig{});
+  auto attach = client_->attach("bulk-tenant");
+  ASSERT_TRUE(attach.ok()) << attach.error();
+  session_ = attach->session_id;
+  std::vector<crypto::Sha256Digest> loaded;
+  for (int i = 0; i < 6; ++i) {
+    auto load = client_->load_module(session_, bulky_app(1024, i));
+    ASSERT_TRUE(load.ok()) << load.error();
+    loaded.push_back(load->measurement);
+    InvokeRequest req;
+    req.session_id = session_;
+    req.measurement = load->measurement;
+    req.entry = "run";
+    req.heap_bytes = 64 * 1024;
+    auto r = client_->invoke(req);
+    ASSERT_TRUE(r.ok()) << "module " << i << ": " << r.error();
+  }
+  GatewayStats stats = gateway_->stats(/*detail=*/true);
+  ASSERT_EQ(stats.devices.size(), 1u);
+  if (wasm::jit::jit_available()) {
+    EXPECT_GT(stats.devices[0].cache_evictions, 0u);
+    EXPECT_LT(stats.devices[0].modules.size(), loaded.size());
+    for (const ModuleTierStats& m : stats.devices[0].modules)
+      EXPECT_EQ(m.native_functions, m.functions);
+  }
+
+  // The most recent module is still cached; a 12 MB heap fits next to it.
+  InvokeRequest big;
+  big.session_id = session_;
+  big.measurement = loaded.back();
+  big.entry = "run";
+  big.heap_bytes = 12 * 1024 * 1024;
+  auto r = client_->invoke(big);
+  ASSERT_TRUE(r.ok()) << r.error();
+}
+
+TEST_F(GatewayTieringTest, CacheServedBinaryStaysInRegistry) {
+  // A registry that holds two binaries and a cache that holds one module.
+  const Bytes a = bulky_app(4, 1), b = bulky_app(4, 2), c = bulky_app(4, 3);
+  GatewayConfig config;
+  config.binary_registry_budget_bytes = 2 * a.size() + a.size() / 2;
+  config.cache.budget_bytes = 1;
+  SetUpFleet(config);
+  auto attach = client_->attach("registry-tenant");
+  ASSERT_TRUE(attach.ok()) << attach.error();
+  session_ = attach->session_id;
+  auto invoke = [&](const crypto::Sha256Digest& m) {
+    InvokeRequest req;
+    req.session_id = session_;
+    req.measurement = m;
+    req.entry = "run";
+    req.heap_bytes = 64 * 1024;
+    return client_->invoke(req);
+  };
+
+  auto load_a = client_->load_module(session_, a);
+  ASSERT_TRUE(load_a.ok()) << load_a.error();
+  ASSERT_TRUE(invoke(load_a->measurement).ok());  // cold miss: A cached
+  ASSERT_TRUE(client_->load_module(session_, b).ok());
+  // Served from the cache, A is used more recently than B in the registry.
+  ASSERT_TRUE(invoke(load_a->measurement).ok());
+  // C's upload evicts the registry's LRU binary: B, not A.
+  auto load_c = client_->load_module(session_, c);
+  ASSERT_TRUE(load_c.ok()) << load_c.error();
+  ASSERT_TRUE(invoke(load_c->measurement).ok());  // evicts A from the cache
+
+  // A's next invoke is a cold miss; its binary must still be registered.
+  auto again = invoke(load_a->measurement);
+  ASSERT_TRUE(again.ok()) << again.error();
+  EXPECT_GE(gateway_->stats().devices[0].cache_evictions, 2u);
 }
 
 TEST_F(GatewayTieringTest, SubmitMemoServesTwinWithoutExecuting) {

@@ -178,6 +178,32 @@ TEST(Validator, RejectsMemoryOpsWithoutMemory) {
   EXPECT_FALSE(validate_module(*mod).ok());
 }
 
+TEST(Validator, MemoryAlignmentIsBoundedByNaturalAlignment) {
+  // The align immediate is log2 of the alignment. Up to the natural
+  // alignment is valid; anything above is invalid, including immediates of
+  // 32 and more, which must be rejected without a shift by them.
+  auto validate = [](Op op, std::uint32_t align) {
+    ModuleBuilder b;
+    b.add_memory(1);
+    const auto f = b.add_function({{}, {ValType::I64}});
+    CodeEmitter e;
+    e.i32_const(0).load(op, 0, align);
+    if (op == kI32Load) e.op(kI64ExtendI32U);
+    b.set_body(f, e.bytes());
+    auto mod = decode_module(b.build());
+    EXPECT_TRUE(mod.ok()) << mod.error();
+    return mod.ok() && validate_module(*mod).ok();
+  };
+  EXPECT_TRUE(validate(kI32Load, 2));
+  EXPECT_FALSE(validate(kI32Load, 3));
+  EXPECT_TRUE(validate(kI64Load, 3));
+  EXPECT_FALSE(validate(kI64Load, 4));
+  for (const std::uint32_t align : {31u, 32u, 33u, 64u, 0xffffffffu}) {
+    EXPECT_FALSE(validate(kI32Load, align)) << "align " << align;
+    EXPECT_FALSE(validate(kI64Load, align)) << "align " << align;
+  }
+}
+
 TEST(Validator, RejectsImmutableGlobalWrite) {
   ModuleBuilder b;
   const auto g = b.add_global(ValType::I32, false, 1);

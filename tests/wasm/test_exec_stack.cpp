@@ -32,11 +32,9 @@ std::unique_ptr<Instance> make_instance(const Bytes& bin, ExecMode mode,
   EXPECT_TRUE(inst.ok()) << inst.error();
   if (!inst.ok()) return nullptr;
   if (with_tier && jit::jit_available()) {
-    jit::TierConfig config;
-    config.hot_threshold = 1;
     auto tier = std::make_shared<jit::TierSet>(&(*inst)->module(),
                                                (*inst)->compiled,
-                                               std::move(config));
+                                               jit::TierConfig{});
     tier->compile_all();
     (*inst)->tier = tier;
   }

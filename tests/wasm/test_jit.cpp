@@ -8,6 +8,7 @@
 // AOT-stream half still runs, which is exactly the fallback contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstring>
 #include <limits>
@@ -41,13 +42,11 @@ std::unique_ptr<Instance> instantiate_aot(const Bytes& bin,
 }
 
 /// Builds a TierSet over the instance's own module/compiled store and
-/// force-compiles everything, so the very first invoke runs native code.
-std::shared_ptr<jit::TierSet> force_tier(Instance& inst,
-                                         std::uint32_t hot_threshold = 1) {
-  jit::TierConfig config;
-  config.hot_threshold = hot_threshold;
+/// compiles everything, as WatzRuntime::prepare does at load, so the very
+/// first invoke runs native code.
+std::shared_ptr<jit::TierSet> force_tier(Instance& inst) {
   auto tier = std::make_shared<jit::TierSet>(&inst.module(), inst.compiled,
-                                             std::move(config));
+                                             jit::TierConfig{});
   tier->compile_all();
   inst.tier = tier;
   return tier;
@@ -869,47 +868,62 @@ TEST(JitCodegen, HostCallFromNativeFrame) {
 }
 
 // ---------------------------------------------------------------------------
-// Tiering machinery (heat counters, background compile, entry install).
+// Tiering machinery (compile at load, one image per module, entry table).
 
-TEST(JitTiering, HeatThresholdTripsBackgroundCompile) {
+TEST(JitTiering, CompileAllMakesEveryFunctionNativeAtFirstInvoke) {
   if (!jit::jit_available()) GTEST_SKIP() << "JIT unavailable on this host";
 
+  // f(x) = g(x) * 3 with g(x) = x + 1: two functions, one image.
   ModuleBuilder mb;
+  auto g = mb.add_function(sig({ValType::I32}, {ValType::I32}));
+  CodeEmitter cg;
+  cg.local_get(0).i32_const(1).op(kI32Add);
+  mb.set_body(g, cg.bytes());
   auto f = mb.add_function(sig({ValType::I32}, {ValType::I32}));
-  CodeEmitter ce;
-  ce.local_get(0).i32_const(3).op(kI32Mul);
-  mb.set_body(f, ce.bytes());
+  CodeEmitter cf;
+  cf.local_get(0).call(g).i32_const(3).op(kI32Mul);
+  mb.set_body(f, cf.bytes());
   mb.export_function("f", f);
 
   auto inst = instantiate_aot(mb.build(), no_imports());
   ASSERT_TRUE(inst);
+  std::size_t charges = 0, charged = 0;
   jit::TierConfig config;
-  config.hot_threshold = 3;
+  config.charge_code = [&](std::size_t n) {
+    ++charges;
+    charged += n;
+    return true;
+  };
   auto tier = std::make_shared<jit::TierSet>(&inst->module(), inst->compiled,
                                              std::move(config));
+  EXPECT_EQ(tier->entry_for(0), nullptr);  // nothing before compile_all
+  EXPECT_EQ(tier->compile_all(), 2u);
   inst->tier = tier;
 
-  // Below the threshold: nothing queued, nothing compiled.
-  auto args = std::vector<Value>{Value::from_i32(5)};
-  ASSERT_TRUE(inst->invoke("f", args).ok());
-  ASSERT_TRUE(inst->invoke("f", args).ok());
-  EXPECT_EQ(tier->compile_pending(), 0u);
-  EXPECT_EQ(tier->entry_for(0), nullptr);
+  // Both entries live in ONE image, charged once for its page-rounded size.
+  EXPECT_EQ(tier->native_functions(), 2u);
+  EXPECT_EQ(charges, 1u);
+  EXPECT_EQ(charged, tier->native_code_bytes());
+  const auto* e0 = static_cast<const std::uint8_t*>(tier->entry_for(0));
+  const auto* e1 = static_cast<const std::uint8_t*>(tier->entry_for(1));
+  ASSERT_NE(e0, nullptr);
+  ASSERT_NE(e1, nullptr);
+  EXPECT_NE(e0, e1);
+  const std::uint8_t* lo = std::min(e0, e1);
+  EXPECT_LT(static_cast<std::size_t>(std::max(e0, e1) - lo),
+            tier->native_code_bytes());
 
-  // Third call crosses hot_threshold=3 -> queued; the control-plane sweep
-  // compiles and installs exactly one entry.
-  ASSERT_TRUE(inst->invoke("f", args).ok());
-  EXPECT_EQ(tier->compile_pending(), 1u);
-  EXPECT_NE(tier->entry_for(0), nullptr);
-  EXPECT_EQ(tier->tier_up_compiles(), 1u);
-  EXPECT_GT(tier->native_code_bytes(), 0u);
-
-  // Re-sweeping is idempotent; the next invoke runs native.
-  EXPECT_EQ(tier->compile_pending(), 0u);
-  auto r = inst->invoke("f", args);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)[0].i32(), 15);
-  EXPECT_EQ(tier->native_entries(), 1u);
+  // Native from the first invoke; invokes never compile anything more.
+  auto args = std::vector<Value>{Value::from_i32(4)};
+  for (int i = 0; i < 3; ++i) {
+    auto r = inst->invoke("f", args);
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ((*r)[0].i32(), 15);
+  }
+  EXPECT_EQ(tier->native_entries(), 6u);  // f and g, three times each
+  EXPECT_EQ(tier->compile_all(), 0u);     // runs once
+  EXPECT_EQ(tier->native_functions(), 2u);
+  EXPECT_EQ(charges, 1u);
 }
 
 TEST(JitTiering, CodeChargeRefusalKeepsAotStream) {
@@ -925,7 +939,6 @@ TEST(JitTiering, CodeChargeRefusalKeepsAotStream) {
   auto inst = instantiate_aot(mb.build(), no_imports());
   ASSERT_TRUE(inst);
   jit::TierConfig config;
-  config.hot_threshold = 1;
   config.charge_code = [](std::size_t) { return false; };  // heap cap exceeded
   auto tier = std::make_shared<jit::TierSet>(&inst->module(), inst->compiled,
                                              std::move(config));
@@ -933,7 +946,7 @@ TEST(JitTiering, CodeChargeRefusalKeepsAotStream) {
   inst->tier = tier;
 
   EXPECT_EQ(tier->entry_for(0), nullptr);
-  EXPECT_EQ(tier->tier_up_compiles(), 0u);
+  EXPECT_EQ(tier->native_functions(), 0u);
   auto r = inst->invoke("f", {});
   ASSERT_TRUE(r.ok());
   EXPECT_EQ((*r)[0].i32(), 7);  // still correct on the AOT stream
@@ -954,10 +967,8 @@ TEST(JitTiering, MetricSinksReceiveFlushes) {
 
   auto inst = instantiate_aot(mb.build(), no_imports());
   ASSERT_TRUE(inst);
-  jit::TierConfig config;
-  config.hot_threshold = 1;
   auto tier = std::make_shared<jit::TierSet>(&inst->module(), inst->compiled,
-                                             std::move(config));
+                                             jit::TierConfig{});
   obs::Counter compiles, entries, fallback;
   obs::Counter fb_float, fb_conv, fb_call, fb_other;
   obs::Histogram compile_ns;
@@ -1001,13 +1012,11 @@ TEST(JitTiering, RefusalRecordsOffendingOpcode) {
   ASSERT_FALSE(patched.empty());
   ASSERT_FALSE(patched[0].code.empty());
   patched[0].code[0].op = 0x3fe;  // not a real instruction
-  jit::TierConfig config;
-  config.hot_threshold = 1;
-  jit::TierSet tier(&inst->module(), patched, std::move(config));
+  jit::TierSet tier(&inst->module(), patched, jit::TierConfig{});
   EXPECT_EQ(tier.refused_functions(), 0u);
   EXPECT_EQ(tier.last_refused_op(), 0xffffffffu);  // nothing refused yet
   tier.compile_all();
-  EXPECT_EQ(tier.tier_up_compiles(), 0u);
+  EXPECT_EQ(tier.native_functions(), 0u);
   EXPECT_EQ(tier.refused_functions(), 1u);
   EXPECT_EQ(tier.last_refused_op(), 0x3feu);
 

@@ -567,10 +567,8 @@ TEST(JitDifferential, ThreeTiersAgreeOnSeededPrograms) {
 
     std::shared_ptr<jit::TierSet> tier;
     if (native) {
-      jit::TierConfig config;
-      config.hot_threshold = 1;
       tier = std::make_shared<jit::TierSet>(&jitted->module(), jitted->compiled,
-                                            std::move(config));
+                                            jit::TierConfig{});
       // Every generated shape must be within the native surface: a refusal
       // here is a codegen coverage bug, not an acceptable fallback.
       const std::size_t compiled = tier->compile_all();
