@@ -11,6 +11,11 @@
 // Phase 2 (session amortisation): every invoke after attach must ride the
 // cached evidence -- zero RA message exchanges on the wire.
 //
+// Declared-memory launch cost: a warm launch of a 512-page (32 MiB) memory
+// with a 12 MB heap over that of a 1-page memory with a 64 KiB heap. Both
+// stores are zero on demand, so the ratio stays near 1 unless a launch
+// pays for bytes the guest never touches.
+//
 // Phase 3 (sustained throughput, pooling on, 2 devices): invocations/sec
 // of a small module dispatched least-loaded across the fleet.
 //
@@ -64,6 +69,18 @@ Bytes sized_module(int target_kb) {
   e.call(first);
   b.set_body(entry, e.bytes());
   b.export_function("entry", entry);
+  return b.build();
+}
+
+/// Guest declaring `pages` of linear memory, exporting entry() -> i32.
+Bytes memory_module(std::uint32_t pages) {
+  wasm::ModuleBuilder b;
+  b.add_memory(pages);
+  const auto f = b.add_function({{}, {wasm::ValType::I32}});
+  wasm::CodeEmitter e;
+  e.memory_size();
+  b.set_body(f, e.bytes());
+  b.export_function("entry", f);
   return b.build();
 }
 
@@ -160,6 +177,41 @@ int main(int argc, char** argv) {
   report.metric("warm_launch_ns", static_cast<double>(warm_ns), "ns");
   report.metric("warm_speedup", speedup, "x");
   report.metric("post_attach_ra_exchanges", warm_ra_exchanges, "msgs");
+
+  // ---- declared-memory launch cost ---------------------------------------
+  // Same gateway, pooling off: each sample is a module-cache hit that
+  // instantiates afresh, so it prices the allocation of memory and heap.
+  const auto warm_launch_ns = [&](std::uint32_t pages, std::uint64_t heap_bytes) {
+    auto mod = client.load_module(attach->session_id, memory_module(pages));
+    mod.ok() ? void() : throw Error("bench: " + mod.error());
+    std::vector<std::uint64_t> samples;
+    for (int i = 0; i < 8; ++i) {
+      gateway::InvokeRequest req =
+          invoke_request(attach->session_id, mod->measurement, "entry");
+      req.heap_bytes = heap_bytes;
+      auto r = client.invoke(req);
+      r.ok() ? void() : throw Error("bench: " + r.error());
+      if (r->results.empty() || r->results.front().u32() != pages)
+        throw Error("bench: memory guest returned the wrong size");
+      if (i == 0) continue;  // the cold miss
+      if (!r->module_cache_hit || r->pool_hit)
+        throw Error("bench: expected a pure module-cache hit");
+      samples.push_back(r->launch_ns);
+    }
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
+  };
+  const std::uint64_t small_memory_ns = warm_launch_ns(1, 64 * 1024);
+  const std::uint64_t large_memory_ns = warm_launch_ns(512, 12 * 1024 * 1024);
+  const double memory_launch_ratio =
+      static_cast<double>(large_memory_ns) / static_cast<double>(small_memory_ns);
+  if (tables) {
+    std::printf("  warm launch, 1 page + 64 KiB heap : %9.3f ms\n",
+                bench::ms(small_memory_ns));
+    std::printf("  warm launch, 512 pages + 12 MB    : %9.3f ms  (%.1fx)\n",
+                bench::ms(large_memory_ns), memory_launch_ratio);
+  }
+  report.metric("declared_memory_launch_ratio", memory_launch_ratio, "x");
 
   // ---- phase 2: sustained invocations/sec across the fleet ---------------
   gateway::GatewayConfig fleet_config;

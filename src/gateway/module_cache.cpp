@@ -133,10 +133,10 @@ void ModuleCache::release(std::unique_ptr<core::LoadedApp> app) {
   if (entry.pool.size() >= config_.max_pool_per_module ||
       entry_bytes(entry) + cost > config_.budget_bytes)
     return;
-  // Scrub the sandbox before the next tenant sees it: rebuild memory,
-  // globals, table and segments to the freshly-instantiated state, and
-  // clear the WASI output buffers. An instance that cannot be reset is
-  // dropped rather than pooled.
+  // Scrub the sandbox before the next tenant sees it: reset memory (in
+  // place), globals, table and segments to the freshly-instantiated
+  // state, and clear the WASI output buffers. An instance that cannot be
+  // reset is dropped rather than pooled.
   if (!app->instance().reinitialize().ok()) return;
   app->wasi().clear_output();
   if (charged_bytes_.get() + cost > config_.budget_bytes)

@@ -4,7 +4,7 @@ namespace watz::optee {
 
 SharedBuffer& SharedBuffer::operator=(SharedBuffer&& other) noexcept {
   if (this != &other) {
-    if (pool_ != nullptr) pool_->release(data_->size());
+    if (pool_ != nullptr) pool_->release(data_.size());
     pool_ = other.pool_;
     data_ = std::move(other.data_);
     other.pool_ = nullptr;
@@ -13,7 +13,7 @@ SharedBuffer& SharedBuffer::operator=(SharedBuffer&& other) noexcept {
 }
 
 SharedBuffer::~SharedBuffer() {
-  if (pool_ != nullptr) pool_->release(data_->size());
+  if (pool_ != nullptr) pool_->release(data_.size());
 }
 
 Result<SharedBuffer> SharedMemoryPool::allocate(std::size_t size) {
@@ -22,8 +22,9 @@ Result<SharedBuffer> SharedMemoryPool::allocate(std::size_t size) {
     return Result<SharedBuffer>::err(
         "shm: shared memory cap exceeded (OP-TEE limit, see DESIGN.md)");
   SharedBuffer buf;
+  if (!buf.data_.resize(size))
+    return Result<SharedBuffer>::err("shm: host refused the mapping");
   buf.pool_ = this;
-  buf.data_ = std::make_unique<Bytes>(size, 0);
   in_use_ += size;
   return buf;
 }

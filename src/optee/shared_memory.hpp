@@ -8,10 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/page_buffer.hpp"
 #include "common/result.hpp"
 
 namespace watz::optee {
@@ -21,7 +20,7 @@ inline constexpr std::size_t kDefaultSharedMemoryCap = 9 * 1024 * 1024;
 class SharedMemoryPool;
 
 /// A handle to one shared buffer. Movable, returns its bytes to the pool on
-/// destruction.
+/// destruction. Zero on demand, like SecureAlloc.
 class SharedBuffer {
  public:
   SharedBuffer() = default;
@@ -32,15 +31,15 @@ class SharedBuffer {
   ~SharedBuffer();
 
   bool valid() const noexcept { return pool_ != nullptr; }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
-  std::uint8_t* data() noexcept { return data_ ? data_->data() : nullptr; }
-  const std::uint8_t* data() const noexcept { return data_ ? data_->data() : nullptr; }
-  ByteView view() const noexcept { return data_ ? ByteView(*data_) : ByteView(); }
+  std::size_t size() const noexcept { return data_.size(); }
+  std::uint8_t* data() noexcept { return data_.data(); }
+  const std::uint8_t* data() const noexcept { return data_.data(); }
+  ByteView view() const noexcept { return data_.view(); }
 
  private:
   friend class SharedMemoryPool;
   SharedMemoryPool* pool_ = nullptr;
-  std::unique_ptr<Bytes> data_;
+  PageBuffer data_;
 };
 
 class SharedMemoryPool {

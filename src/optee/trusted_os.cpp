@@ -6,7 +6,7 @@ SecureAlloc::SecureAlloc(SecureAlloc&& other) noexcept { *this = std::move(other
 
 SecureAlloc& SecureAlloc::operator=(SecureAlloc&& other) noexcept {
   if (this != &other) {
-    if (os_ != nullptr) os_->release(data_->size());
+    if (os_ != nullptr) os_->release(data_.size());
     os_ = other.os_;
     data_ = std::move(other.data_);
     executable_ = other.executable_;
@@ -16,7 +16,7 @@ SecureAlloc& SecureAlloc::operator=(SecureAlloc&& other) noexcept {
 }
 
 SecureAlloc::~SecureAlloc() {
-  if (os_ != nullptr) os_->release(data_->size());
+  if (os_ != nullptr) os_->release(data_.size());
 }
 
 Result<std::unique_ptr<TrustedOs>> TrustedOs::boot(
@@ -45,8 +45,11 @@ Result<SecureAlloc> TrustedOs::allocate_impl(std::size_t size, bool executable) 
     return Result<SecureAlloc>::err(
         "TEE_ERROR_OUT_OF_MEMORY: secure heap cap exceeded (27 MB OP-TEE limit)");
   SecureAlloc alloc;
+  if (!alloc.data_.resize(size)) {
+    heap_in_use_.sub(size);
+    return Result<SecureAlloc>::err("TEE_ERROR_OUT_OF_MEMORY: host refused the mapping");
+  }
   alloc.os_ = this;
-  alloc.data_ = std::make_unique<Bytes>(size, 0);
   alloc.executable_ = executable;
   return alloc;
 }

@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/page_buffer.hpp"
 #include "common/result.hpp"
 #include "crypto/hmac.hpp"
 #include "hw/caam.hpp"
@@ -46,7 +47,9 @@ class KernelModule {
 };
 
 /// A secure-heap allocation handle. `executable` marks pages obtained via
-/// the WaTZ mprotect-style kernel extension.
+/// the WaTZ mprotect-style kernel extension. The bytes are zero on demand
+/// (PageBuffer): the heap is charged the full requested size, but the host
+/// pays only for the pages actually touched.
 class SecureAlloc {
  public:
   SecureAlloc() = default;
@@ -58,15 +61,15 @@ class SecureAlloc {
 
   bool valid() const noexcept { return os_ != nullptr; }
   bool executable() const noexcept { return executable_; }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
-  std::uint8_t* data() noexcept { return data_ ? data_->data() : nullptr; }
-  const std::uint8_t* data() const noexcept { return data_ ? data_->data() : nullptr; }
-  ByteView view() const noexcept { return data_ ? ByteView(*data_) : ByteView(); }
+  std::size_t size() const noexcept { return data_.size(); }
+  std::uint8_t* data() noexcept { return data_.data(); }
+  const std::uint8_t* data() const noexcept { return data_.data(); }
+  ByteView view() const noexcept { return data_.view(); }
 
  private:
   friend class TrustedOs;
   class TrustedOs* os_ = nullptr;
-  std::unique_ptr<Bytes> data_;
+  PageBuffer data_;
   bool executable_ = false;
 };
 

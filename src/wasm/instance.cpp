@@ -27,8 +27,11 @@ const ImportResolver::Entry* ImportResolver::find(const std::string& module,
 // ---------------------------------------------------------------------------
 // Memory
 
-Memory::Memory(Limits limits) : limits_(limits) {
-  data_.resize(static_cast<std::size_t>(limits.min) * kPageSize);
+std::unique_ptr<Memory> Memory::create(Limits limits) {
+  std::unique_ptr<Memory> memory(new Memory(limits));
+  if (!memory->data_.resize(static_cast<std::size_t>(limits.min) * kPageSize))
+    return nullptr;
+  return memory;
 }
 
 std::int32_t Memory::grow(std::uint32_t delta) {
@@ -36,8 +39,14 @@ std::int32_t Memory::grow(std::uint32_t delta) {
   const std::uint64_t target = current + delta;
   const std::uint64_t cap = limits_.has_max ? limits_.max : 65536;
   if (target > cap || target > 65536) return -1;
-  data_.resize(static_cast<std::size_t>(target) * kPageSize);
+  if (!data_.resize(static_cast<std::size_t>(target) * kPageSize)) return -1;
   return static_cast<std::int32_t>(current);
+}
+
+bool Memory::reset() noexcept {
+  if (!data_.resize(static_cast<std::size_t>(limits_.min) * kPageSize)) return false;
+  data_.zero();
+  return true;
 }
 
 Status Memory::copy_in(std::uint32_t addr, ByteView src) {
@@ -48,7 +57,7 @@ Status Memory::copy_in(std::uint32_t addr, ByteView src) {
 
 Result<Bytes> Memory::copy_out(std::uint32_t addr, std::uint32_t len) const {
   if (!in_bounds(addr, len)) return Result<Bytes>::err("memory copy_out out of bounds");
-  return Bytes(data_.begin() + addr, data_.begin() + addr + len);
+  return Bytes(data_.data() + addr, data_.data() + addr + len);
 }
 
 // ---------------------------------------------------------------------------
@@ -191,8 +200,13 @@ Result<std::unique_ptr<Instance>> Instance::instantiate_shared(
 Status Instance::reset_state() {
   const Module& module = *module_;
 
-  if (!module.memories.empty())
-    memory_ = std::make_unique<Memory>(module.memories[0]);
+  if (!module.memories.empty()) {
+    if (memory_ == nullptr)
+      memory_ = Memory::create(module.memories[0]);
+    else if (!memory_->reset())
+      return Status::err("linear memory reset failed");
+    if (memory_ == nullptr) return Status::err("linear memory: host refused the mapping");
+  }
   if (!module.tables.empty()) table.assign(module.tables[0].min, -1);
 
   // Globals (imports excluded -> index space starts at module globals).

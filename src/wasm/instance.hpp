@@ -15,6 +15,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/page_buffer.hpp"
 #include "common/result.hpp"
 #include "wasm/module.hpp"
 
@@ -49,18 +50,28 @@ class ImportResolver {
 
 /// Sandboxed linear memory. All guest accesses are bounds-checked; the
 /// backing store is private to the instance (the Wasm SFI property WaTZ
-/// relies on to isolate mutually distrusting applications, SS III).
+/// relies on to isolate mutually distrusting applications, SS III). Pages
+/// are zero on demand (see PageBuffer): a large declared memory costs only
+/// what the guest touches.
 class Memory {
  public:
-  explicit Memory(Limits limits);
+  /// A zeroed memory of `limits.min` pages; null when the host cannot map
+  /// them.
+  static std::unique_ptr<Memory> create(Limits limits);
 
   std::uint32_t pages() const noexcept { return static_cast<std::uint32_t>(data_.size() / kPageSize); }
   std::size_t byte_size() const noexcept { return data_.size(); }
   std::uint8_t* data() noexcept { return data_.data(); }
   const std::uint8_t* data() const noexcept { return data_.data(); }
 
-  /// Grows by `delta` pages; returns previous page count or -1 on failure.
+  /// Grows by `delta` pages; returns previous page count, or -1 when the
+  /// limits forbid it or the host cannot map the pages.
   std::int32_t grow(std::uint32_t delta);
+
+  /// Back to `limits.min` pages, every byte zero, in the same mapping:
+  /// how a pooled sandbox is scrubbed between tenants. False when the host
+  /// refuses to shrink the mapping.
+  bool reset() noexcept;
 
   bool in_bounds(std::uint64_t addr, std::uint64_t len) const noexcept {
     return addr + len <= data_.size() && addr + len >= addr;
@@ -71,7 +82,9 @@ class Memory {
   Result<Bytes> copy_out(std::uint32_t addr, std::uint32_t len) const;
 
  private:
-  std::vector<std::uint8_t> data_;
+  explicit Memory(Limits limits) : limits_(limits) {}
+
+  PageBuffer data_;
   Limits limits_;
 };
 
@@ -149,9 +162,9 @@ class Instance {
   Result<std::vector<Value>> invoke(const std::string& export_name,
                                     std::span<const Value> args);
 
-  /// Resets all per-instance sandbox state -- linear memory (re-created at
-  /// its initial size), globals, table, element/data segments, start
-  /// function -- to the freshly-instantiated state. Instance pools call
+  /// Resets all per-instance sandbox state -- linear memory (back to its
+  /// initial size and zeroed in place), globals, table, element/data
+  /// segments, start function -- to the freshly-instantiated state. Instance pools call
   /// this before handing a sandbox to the next caller so no guest state
   /// leaks between invocations.
   Status reinitialize();
@@ -187,7 +200,8 @@ class Instance {
  private:
   Instance() = default;
 
-  /// (Re)builds memory/globals/table and evaluates segments from module_.
+  /// Builds (or, on reinitialize, resets) memory/globals/table and
+  /// evaluates segments from module_.
   Status reset_state();
 
   std::shared_ptr<const Module> module_;

@@ -3,6 +3,7 @@
 // invoke dispatch across a multi-device fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "core/device.hpp"
@@ -852,42 +853,110 @@ TEST_F(ModuleCacheTest, UnparkableReleaseEvictsNothing) {
   }
 }
 
-TEST_F(ModuleCacheTest, PooledInstancesAreScrubbedBetweenTenants) {
-  // poke(v) writes v to mem[0]; peek() reads mem[0]. A pooled instance
-  // must not carry one tenant's writes to the next.
+/// Parameter: the guest's declared memory in pages. One page is zeroed in
+/// place on reset; 64 pages (4 MiB) are over PageBuffer's memset limit and
+/// hand their pages back instead.
+class PooledScrubTest : public ModuleCacheTest,
+                        public ::testing::WithParamInterface<std::uint32_t> {};
+
+TEST_P(PooledScrubTest, PooledInstancesAreScrubbedBetweenTenants) {
+  // poke(addr, v) stores the byte v at addr, peek(addr) loads it, grow(n)
+  // is memory.grow and size() memory.size. A pooled instance must come
+  // back exactly as instantiated: no byte of one tenant's writes, its
+  // grown pages gone, the data segment re-applied.
+  const std::uint32_t pages = GetParam();
+  const std::uint32_t last = pages * wasm::kPageSize - 1;
+  const Bytes segment = to_bytes("segment");
+  const std::uint32_t seg_at = 16;
   wasm::ModuleBuilder b;
-  b.add_memory(1);
-  const auto poke = b.add_function({{wasm::ValType::I32}, {}});
+  b.add_memory(pages, pages + 1);
+  b.add_data(seg_at, segment);
+  const auto poke = b.add_function({{wasm::ValType::I32, wasm::ValType::I32}, {}});
   {
     wasm::CodeEmitter e;
-    e.i32_const(0).local_get(0).store(wasm::kI32Store, 0);
+    e.local_get(0).local_get(1).store(wasm::kI32Store8, 0);
     b.set_body(poke, e.bytes());
   }
   b.export_function("poke", poke);
-  const auto peek = b.add_function({{}, {wasm::ValType::I32}});
+  const auto peek = b.add_function({{wasm::ValType::I32}, {wasm::ValType::I32}});
   {
     wasm::CodeEmitter e;
-    e.i32_const(0).load(wasm::kI32Load, 0);
+    e.local_get(0).load(wasm::kI32Load8U, 0);
     b.set_body(peek, e.bytes());
   }
   b.export_function("peek", peek);
+  const auto grow = b.add_function({{wasm::ValType::I32}, {wasm::ValType::I32}});
+  {
+    wasm::CodeEmitter e;
+    e.local_get(0).memory_grow();
+    b.set_body(grow, e.bytes());
+  }
+  b.export_function("grow", grow);
+  const auto size = b.add_function({{}, {wasm::ValType::I32}});
+  {
+    wasm::CodeEmitter e;
+    e.memory_size();
+    b.set_body(size, e.bytes());
+  }
+  b.export_function("size", size);
   const Bytes app = b.build();
   const crypto::Sha256Digest m = crypto::sha256(app);
+
+  const auto call = [](core::LoadedApp& app, const std::string& entry,
+                       std::vector<wasm::Value> args) {
+    return app.invoke(entry, args);
+  };
+  const auto i32 = [](std::uint32_t v) {
+    return wasm::Value::from_i32(static_cast<std::int32_t>(v));
+  };
 
   ModuleCache cache(device_->runtime());
   auto first = cache.acquire(m, app, small_heap());
   ASSERT_TRUE(first.ok()) << first.error();
-  const wasm::Value v = wasm::Value::from_i32(1234);
-  ASSERT_TRUE(first->app->invoke("poke", std::span<const wasm::Value>(&v, 1)).ok());
+  core::LoadedApp& tenant = *first->app;
+  ASSERT_TRUE(call(tenant, "poke", {i32(0), i32(0x12)}).ok());
+  ASSERT_TRUE(call(tenant, "poke", {i32(seg_at), i32(0x99)}).ok());
+  ASSERT_TRUE(call(tenant, "poke", {i32(last), i32(0x34)}).ok());
+  auto grown = call(tenant, "grow", {i32(1)});
+  ASSERT_TRUE(grown.ok()) << grown.error();
+  ASSERT_EQ(grown->front().i32(), static_cast<std::int32_t>(pages));
+  const std::uint32_t grown_last = last + wasm::kPageSize;
+  ASSERT_TRUE(call(tenant, "poke", {i32(grown_last), i32(0x56)}).ok());
   cache.release(std::move(first->app));
 
   auto second = cache.acquire(m, {}, small_heap());
-  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second.ok()) << second.error();
   ASSERT_TRUE(second->pool_hit);
-  auto r = second->app->invoke("peek", {});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->front().i32(), 0) << "guest state leaked through the warm pool";
+  core::LoadedApp& next = *second->app;
+  auto now = call(next, "size", {});
+  ASSERT_TRUE(now.ok()) << now.error();
+  EXPECT_EQ(now->front().i32(), static_cast<std::int32_t>(pages))
+      << "memory.size must be back at the declared minimum";
+  for (const std::uint32_t addr : {0u, last}) {
+    auto r = call(next, "peek", {i32(addr)});
+    ASSERT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(r->front().i32(), 0) << "guest state leaked at " << addr;
+  }
+  auto seg = call(next, "peek", {i32(seg_at)});
+  ASSERT_TRUE(seg.ok()) << seg.error();
+  EXPECT_EQ(seg->front().i32(), segment[0]) << "data segment not re-applied";
+  EXPECT_FALSE(call(next, "peek", {i32(grown_last)}).ok())
+      << "the grown page survived the reset";
+
+  // Every byte, read from the host side: the segment, zero elsewhere.
+  const wasm::Memory* mem = next.instance().memory();
+  ASSERT_NE(mem, nullptr);
+  ASSERT_EQ(mem->byte_size(), std::size_t{pages} * wasm::kPageSize);
+  Bytes expected(mem->byte_size(), 0);
+  std::copy(segment.begin(), segment.end(), expected.begin() + seg_at);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), mem->data()))
+      << "guest state leaked through the warm pool";
 }
+
+INSTANTIATE_TEST_SUITE_P(MemsetAndPageDrop, PooledScrubTest, ::testing::Values(1u, 64u),
+                         [](const auto& info) {
+                           return std::to_string(info.param) + "_pages";
+                         });
 
 TEST_F(ModuleCacheTest, PoolHitRequiresMatchingHeap) {
   ModuleCache cache(device_->runtime());

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "crypto/fortuna.hpp"
 #include "optee/ta_manager.hpp"
 #include "optee/trusted_os.hpp"
@@ -124,6 +126,28 @@ TEST_F(TrustedOsTest, SecureHeapCapEnforced) {
   big = optee::SecureAlloc{};
   EXPECT_EQ(os_->heap_in_use(), 0u);
   EXPECT_TRUE(os_->allocate(10 * 1024 * 1024).ok());
+}
+
+TEST_F(TrustedOsTest, AllocationsReadZeroAndAreChargedByRequestedSize) {
+  // Zero on demand: nothing is touched at allocation, yet every byte reads
+  // zero, and the caps charge the size asked for, not the pages mapped.
+  const std::size_t odd = 3 * 4096 + 17;
+  auto heap = os_->allocate(odd);
+  ASSERT_TRUE(heap.ok()) << heap.error();
+  EXPECT_EQ(heap->size(), odd);
+  EXPECT_EQ(os_->heap_in_use(), odd);
+  auto shared = os_->shared_memory().allocate(odd);
+  ASSERT_TRUE(shared.ok()) << shared.error();
+  EXPECT_EQ(os_->shared_memory().in_use(), odd);
+  for (const ByteView bytes : {heap->view(), shared->view()}) {
+    ASSERT_EQ(bytes.size(), odd);
+    EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](std::uint8_t v) { return v == 0; }));
+  }
+  heap->data()[odd - 1] = 0xff;  // the last requested byte is writable
+  *heap = optee::SecureAlloc{};
+  *shared = optee::SharedBuffer{};
+  EXPECT_EQ(os_->heap_in_use(), 0u);
+  EXPECT_EQ(os_->shared_memory().in_use(), 0u);
 }
 
 TEST_F(TrustedOsTest, SharedMemoryCapEnforced) {

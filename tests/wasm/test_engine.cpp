@@ -2,8 +2,11 @@
 // produce identical results under the interpreter and the AOT executor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/page_buffer.hpp"
 #include "wasm/builder.hpp"
 #include "wasm/decoder.hpp"
 #include "wasm/instance.hpp"
@@ -437,11 +440,99 @@ TEST_P(EngineTest, ArgumentValidation) {
   EXPECT_FALSE(wrong_type.ok());
 }
 
+TEST_P(EngineTest, ReinitializeResetsMemoryInPlace) {
+  ModuleBuilder b;
+  b.add_memory(1, 2);
+  b.add_data(8, to_bytes("seg"));
+  const auto poke = b.add_function({{ValType::I32, ValType::I32}, {}});
+  {
+    CodeEmitter e;
+    e.local_get(0).local_get(1).store(kI32Store8, 0);
+    b.set_body(poke, e.bytes());
+  }
+  b.export_function("poke", poke);
+  const auto grow = b.add_function({{}, {ValType::I32}});
+  {
+    CodeEmitter e;
+    e.i32_const(1).memory_grow();
+    b.set_body(grow, e.bytes());
+  }
+  b.export_function("grow", grow);
+  auto inst = instantiate(b.build());
+  Memory* const mem = inst->memory();
+  ASSERT_NE(mem, nullptr);
+  ASSERT_TRUE(inst->invoke("poke", std::vector<Value>{Value::from_i32(8), Value::from_i32(0x7f)}).ok());
+  ASSERT_TRUE(inst->invoke("poke", std::vector<Value>{Value::from_i32(kPageSize - 1), Value::from_i32(1)}).ok());
+  EXPECT_EQ(invoke1(*inst, "grow", {}).i32(), 1);
+  ASSERT_TRUE(inst->invoke("poke", std::vector<Value>{Value::from_i32(2 * kPageSize - 1), Value::from_i32(2)}).ok());
+
+  ASSERT_TRUE(inst->reinitialize().ok());
+  EXPECT_EQ(inst->memory(), mem) << "reset must reuse the memory, not rebuild it";
+  ASSERT_EQ(mem->pages(), 1u);
+  Bytes expected(kPageSize, 0);
+  std::memcpy(expected.data() + 8, "seg", 3);
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), mem->data()));
+  EXPECT_EQ(invoke1(*inst, "grow", {}).i32(), 1);  // the regrown page is zero too
+  EXPECT_TRUE(std::all_of(mem->data() + kPageSize, mem->data() + 2 * kPageSize,
+                          [](std::uint8_t v) { return v == 0; }));
+}
+
 INSTANTIATE_TEST_SUITE_P(Modes, EngineTest,
                          ::testing::Values(ExecMode::Interp, ExecMode::Aot),
                          [](const ::testing::TestParamInfo<ExecMode>& info) {
                            return info.param == ExecMode::Aot ? "Aot" : "Interp";
                          });
+
+// PageBuffer: the zero-on-demand store behind linear memory.
+
+TEST(PageBufferTest, ResizeFailureKeepsSizeAndContents) {
+  PageBuffer buf;
+  ASSERT_TRUE(buf.resize(kPageSize));
+  buf.data()[0] = 0x5a;
+  buf.data()[kPageSize - 1] = 0xa5;
+  EXPECT_FALSE(buf.resize(std::size_t{1} << 62));
+  ASSERT_EQ(buf.size(), kPageSize);
+  EXPECT_EQ(buf.data()[0], 0x5a);
+  EXPECT_EQ(buf.data()[kPageSize - 1], 0xa5);
+}
+
+TEST(PageBufferTest, ZeroAndRegrowReadZeroOnBothSidesOfTheMemsetLimit) {
+  for (const std::size_t size : {std::size_t{kPageSize}, 4 * PageBuffer::kMemsetZeroLimit}) {
+    SCOPED_TRACE(size);
+    PageBuffer buf;
+    ASSERT_TRUE(buf.resize(size));
+    std::memset(buf.data(), 0xee, size);
+    buf.zero();
+    ASSERT_EQ(buf.size(), size);
+    EXPECT_TRUE(std::all_of(buf.data(), buf.data() + size, [](std::uint8_t v) { return v == 0; }));
+
+    // Shrink to a size inside a page, then grow: the kept head survives,
+    // everything past it reads zero.
+    std::memset(buf.data(), 0xee, size);
+    const std::size_t head = size / 2 + 3;
+    ASSERT_TRUE(buf.resize(head));
+    ASSERT_TRUE(buf.resize(2 * size));
+    EXPECT_TRUE(std::all_of(buf.data(), buf.data() + head, [](std::uint8_t v) { return v == 0xee; }));
+    EXPECT_TRUE(std::all_of(buf.data() + head, buf.data() + 2 * size,
+                            [](std::uint8_t v) { return v == 0; }));
+  }
+}
+
+TEST(PageBufferDeathTest, WritePastEndFaults) {
+#if !WATZ_PAGE_BUFFER_MMAP
+  GTEST_SKIP() << "the guard page needs mmap";
+#endif
+  PageBuffer buf;
+  ASSERT_TRUE(buf.resize(kPageSize));
+  const auto overrun = [](PageBuffer& b) {
+    static_cast<volatile std::uint8_t*>(b.data())[b.size()] = 1;
+  };
+  EXPECT_DEATH(overrun(buf), "");
+  ASSERT_TRUE(buf.resize(3 * kPageSize));  // the guard follows the new end
+  EXPECT_DEATH(overrun(buf), "");
+  ASSERT_TRUE(buf.resize(2 * kPageSize));
+  EXPECT_DEATH(overrun(buf), "");
+}
 
 }  // namespace
 }  // namespace watz::wasm
